@@ -42,6 +42,9 @@ from .statistics import (
 STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
 _CHUNK_ELEMENTS = 1 << 22
+# The HSIC permutation engine's two gathered (K, chunk, n, n) blocks are
+# sized to stay in cache.
+_GATHER_CHUNK_ELEMENTS = 1 << 16
 
 
 def framework_of(data) -> str:
@@ -79,15 +82,17 @@ def wild_replicates(
     n = cores[0].n
     if any(c.n != n for c in cores):
         raise ValueError("all core matrices must share the sample size")
-    if design is None:
-        design = DesignSet.full_offdiag(n)
-    for c in cores:
-        design.validate_for(c)
+    if design is not None:
+        for c in cores:
+            design.validate_for(c)
+    elif n < 2:
+        raise ValueError("need n >= 2")
     signs = _sign_matrix(rep.seed, rep.count, n)
     vals = np.empty((len(cores), rep.count + 1))
-    if design.structure == "full_offdiag":
+    if design is None or design.structure == "full_offdiag":
+        size = n * (n - 1)
         for k, c in enumerate(cores):
-            vals[k] = _quadratic_offdiag(c.h, signs) / design.size
+            vals[k] = _quadratic_offdiag(c.h, signs) / size
     elif design.block_count is not None:
         size = n // design.block_count
         for k, c in enumerate(cores):
@@ -172,14 +177,17 @@ def hsic_permutation_replicates(
     perms[0] = np.arange(n)
     for b in range(rep.count):
         perms[b + 1] = sample_paired_permutation(stream(rep.seed, TAG_REPLICATE, b), n)
+    inverses = np.argsort(perms, axis=1)
     vals = np.empty((len(spec_pairs), rep.count + 1))
-    chunk = max(1, _CHUNK_ELEMENTS // (n * n * len(spec_pairs)))
+    chunk = max(1, _GATHER_CHUNK_ELEMENTS // (n * n * len(spec_pairs)))
     for lo in range(0, rep.count + 1, chunk):
         hi = min(lo + chunk, rep.count + 1)
         p = perms[lo:hi]
-        l_perm = lc[:, p[:, :, None], p[:, None, :]]  # (K, chunk, n, n)
-        prod = kc[:, None, :, :] * l_perm
-        total = prod.sum(axis=(2, 3))
+        # sum_ij K[i, j] L[p_i, p_j] = sum_ik K[i, q_k] L[p_i, k] with q = p^-1:
+        # a column and a row gather in place of one scattered (i, j) gather
+        kq = np.take(kc, inverses[lo:hi], axis=2)  # (K, n, chunk, n)
+        lp = np.take(lc, p, axis=1)  # (K, chunk, n, n)
+        total = np.einsum("kicj,kcij->kc", kq, lp)
         if statistic == "u":
             trace = (k_diag[:, None, :] * l_diag[:, p]).sum(axis=2)
             vals[:, lo:hi] = (total - trace) / (n * (n - 1))

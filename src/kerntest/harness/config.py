@@ -8,6 +8,7 @@ ExperimentConfig field names (hyphens and underscores interchangeable).
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -133,4 +134,6 @@ def config_echo(config: ExperimentConfig) -> dict:
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         out[field.name] = list(value) if isinstance(value, tuple) else value
+    # xi = inf (no privacy noise) is echoed as null, as in test results
+    out["xi_values"] = [None if math.isinf(v) else v for v in config.xi_values]
     return out

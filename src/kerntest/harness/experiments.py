@@ -116,7 +116,8 @@ def _grid(config: ExperimentConfig) -> list[dict]:
 
 
 def _cell_echo(cell: dict) -> dict:
-    return {k: v for k, v in cell.items() if not k.startswith("_")}
+    # xi = inf (no privacy noise) is echoed as null, as in test results
+    return {k: None if k == "xi" and math.isinf(v) else v for k, v in cell.items() if not k.startswith("_")}
 
 
 def _frequency_experiment(config: ExperimentConfig) -> dict:

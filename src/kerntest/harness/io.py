@@ -20,6 +20,20 @@ from ..statistics import ModelSampleData, PairedData, TwoSampleData
 LAYOUTS = ("two_csv", "paired_csv", "model_csv_with_scores")
 
 
+def _parse_cells(path: Path, r: int, record: list[str]) -> list[float]:
+    """Cell-by-cell parse of one row, raising the diagnostic for its first bad cell."""
+    parsed = []
+    for c, cell in enumerate(record, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}: non-finite value at row {r}, column {c}: {cell.strip()}")
+        parsed.append(value)
+    return parsed
+
+
 def read_csv_matrix(path) -> np.ndarray:
     path = Path(path)
     if not path.exists():
@@ -27,17 +41,16 @@ def read_csv_matrix(path) -> np.ndarray:
     rows: list[list[float]] = []
     with path.open(newline="") as fh:
         for r, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(cell.strip() == "" for cell in record):
+            if not "".join(record).strip():  # no cells, or only blank ones
                 continue
-            parsed = []
-            for c, cell in enumerate(record, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: non-finite value at row {r}, column {c}: {cell.strip()}")
-                parsed.append(value)
+            try:
+                parsed = list(map(float, record))
+            except ValueError:
+                parsed = None
+            # a non-finite sum flags NaN/Inf cells (or an overflowing sum of
+            # finite ones, which the cell-by-cell pass then accepts)
+            if parsed is None or not math.isfinite(sum(parsed)):
+                parsed = _parse_cells(path, r, record)
             if rows and len(parsed) != len(rows[0]):
                 raise DataError(
                     f"{path}: ragged row {r}: {len(parsed)} columns, expected {len(rows[0])}"

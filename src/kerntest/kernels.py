@@ -22,6 +22,24 @@ not differentiable on coordinate-coincidence sets; its derivatives here
 are the almost-everywhere expressions with the ``sign(0) = 0`` convention,
 so a Laplace Stein matrix is not positive semi-definite in general (the
 Gaussian and IMQ Stein matrices are).
+
+Precision contract of the matrix builders.  Gaussian and IMQ grams, the
+Gaussian and IMQ Stein matrices and the pairwise distances behind
+``median_heuristic`` / ``bandwidth_grid`` take squared scaled distances
+from one BLAS pass, ``|a|^2 + |b|^2 - 2 a.b``, on coordinates shifted by
+the per-coordinate midrange of the data (which does not depend on row
+order) and divided by the bandwidths.  That form loses accuracy where
+the distance is small against ``|a|^2 + |b|^2``; every entry below
+``2^-6 (|a|^2 + |b|^2)``, negatives included, is recomputed from the
+coordinate differences, so identical points are at distance exactly 0
+and a squared distance elsewhere carries a relative error of at most
+about ``2^6 (d + 2)`` units in the last place.  In one or two dimensions,
+where it is also faster, ``t_i^2`` is accumulated over the dimensions
+instead, as Laplace grams accumulate ``|t_i|``.  A gram or Stein matrix
+of a sample with itself is exactly symmetric, with diagonal exactly
+``kernel_bound`` for a gram.  The Laplace Stein matrix and the
+derivative matrices work on coordinate differences, and
+``stein_kernel`` is their scalar oracle.
 """
 
 from __future__ import annotations
@@ -131,23 +149,119 @@ def _scaled_diff(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (A[:, None, :] - B[None, :, :]) / lam
 
 
+# Squared distances below this share of |a|^2 + |b|^2 are recomputed from
+# differences; above it the BLAS form's error, a few ulps of |a|^2 + |b|^2,
+# stays within 2^6 ulps of the distance per unit of (d + 2).
+_CANCELLATION_SHARE = 2.0**-6
+# Cap on the (entries x dimensions) temporary of one recompute step.
+_RECOMPUTE_ELEMENTS = 1 << 16
+# Side of the square tiles in which a matrix is symmetrised.
+_SYMMETRISE_TILE = 128
+# Below this dimension, accumulating squared coordinate differences takes
+# fewer passes over the (m, n) buffer than the BLAS form, and is exact.
+_BLAS_MIN_DIM = 3
+
+
+def _midrange(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-coordinate (min + max) / 2 over both samples; independent of row order."""
+    lo = np.minimum(A.min(axis=0), B.min(axis=0))
+    hi = np.maximum(A.max(axis=0), B.max(axis=0))
+    return 0.5 * lo + 0.5 * hi
+
+
+def _symmetrise(D: np.ndarray) -> None:
+    """D <- (D + D.T) / 2 in place, exactly symmetric.
+
+    Tile by tile: no n x n temporary, and the transposed reads stay in cache.
+    """
+    n = D.shape[0]
+    for lo in range(0, n, _SYMMETRISE_TILE):
+        rows = slice(lo, lo + _SYMMETRISE_TILE)
+        for lo2 in range(lo, n, _SYMMETRISE_TILE):
+            cols = slice(lo2, lo2 + _SYMMETRISE_TILE)
+            T = D[rows, cols] + D[cols, rows].T
+            T *= 0.5
+            D[rows, cols] = T
+            D[cols, rows] = T.T
+
+
+def _sq_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, same: bool) -> np.ndarray:
+    """Squared scaled distances sum_i ((a_i - b_i) / lam_i)^2, shape (m, n).
+
+    ``same`` says that B is A; the result is then exactly symmetric with a
+    zero diagonal.  See the module docstring for the precision contract.
+    """
+    if A.shape[1] < _BLAS_MIN_DIM:
+        return _accumulated_distances(A, B, lam, square=True)
+    centre = _midrange(A, B)
+    As = (A - centre) / lam
+    Bs = As if same else (B - centre) / lam
+    na = np.einsum("ij,ij->i", As, As)
+    nb = na if same else np.einsum("ij,ij->i", Bs, Bs)
+    bound = np.add.outer(na, nb)  # one rounding of |a|^2 + |b|^2 keeps d(a, b) = d(b, a)
+    D = As @ Bs.T
+    D *= -2.0
+    D += bound
+    if same:
+        _symmetrise(D)
+    bound *= _CANCELLATION_SHARE
+    flagged = np.flatnonzero(D <= bound)
+    del bound
+    # every entry at or below the bound, negatives included, is recomputed,
+    # so no entry is left below zero
+    step = max(1, _RECOMPUTE_ELEMENTS // A.shape[1])
+    for lo in range(0, flagged.size, step):
+        r, c = np.divmod(flagged[lo : lo + step], D.shape[1])
+        U = (A[r] - B[c]) / lam
+        D[r, c] = np.einsum("kd,kd->k", U, U)
+    if same:
+        np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _accumulated_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, square: bool) -> np.ndarray:
+    """sum_i t_i^2 (``square``) or sum_i |t_i| with t_i = (a_i - b_i) / lam_i, shape (m, n).
+
+    Accumulated one dimension at a time into one (m, n) buffer.
+    """
+    D = np.zeros((A.shape[0], B.shape[0]))
+    U = np.empty_like(D)
+    for i in range(A.shape[1]):
+        np.subtract.outer(A[:, i], B[:, i], out=U)
+        U /= lam[i]
+        if square:
+            np.multiply(U, U, out=U)
+        else:
+            np.abs(U, out=U)
+        D += U
+    return D
+
+
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Matrix of kernel values, entry (i, j) = k(A_i, B_j).
 
-    Symmetric with diagonal ``kernel_bound`` when ``A is B`` row-for-row.
+    Exactly symmetric with diagonal ``kernel_bound`` when A equals B
+    row-for-row.
     """
     A, B = _as_points(A), _as_points(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     lam = spec.bandwidth_vector(A.shape[1])
-    U = _scaled_diff(A, B, lam)
-    if spec.family == "gaussian":
-        base = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
-    elif spec.family == "laplace":
-        base = np.exp(-np.abs(U).sum(axis=-1))
+    if spec.family == "laplace":
+        base = _accumulated_distances(A, B, lam, square=False)
+        np.negative(base, out=base)
+        np.exp(base, out=base)
     else:
-        base = (1.0 + np.einsum("mnd,mnd->mn", U, U)) ** (-spec.imq_exponent)
-    return _norm_const(spec, A.shape[1]) * base
+        same = A is B or np.array_equal(A, B)
+        base = _sq_distances(A, A if same else B, lam, same)
+        if spec.family == "gaussian":
+            base *= -0.5
+            np.exp(base, out=base)
+        else:
+            base += 1.0
+            np.power(base, -spec.imq_exponent, out=base)
+    base *= _norm_const(spec, A.shape[1])
+    return base
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -267,20 +381,69 @@ def stein_kernel(spec: KernelSpec, score: ScoreField, x, y) -> float:
     return float(k * (sx @ sy) + g1 @ sy + (-g1) @ sx + c)
 
 
+def _smooth_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Gaussian or IMQ Stein matrix in closed form, up to symmetrisation.
+
+    With A = (X - midrange) / lam, T = S / lam, p_i = A_i . T_i, r^2 the
+    squared scaled distance, w = sum_d ((x_d - y_d) / lam_d^2)^2 and
+    E = p_i + p_j - 2 A_i . T_j + sum_d 1 / lam_d^2, entry (i, j) is
+    c k (s_i . s_j + E - w) for the Gaussian and
+    c k (s_i . s_j + 2 beta (E - 2 (beta + 1) w / (1 + r^2)) / (1 + r^2))
+    for the IMQ kernel.  Averaging with the transpose turns -2 A_i . T_j
+    into -(A_i . T_j + A_j . T_i), which with p_i + p_j makes the two
+    gradient terms (A_i - A_j) . (T_i - T_j).
+    """
+    dim = X.shape[1]
+    lam = spec.bandwidth_vector(dim)
+    R = _sq_distances(X, X, lam, True)
+    if np.all(lam == lam[0]):
+        W = R / lam[0] ** 2
+    else:
+        W = _sq_distances(X, X, lam**2, True)
+    A = (X - _midrange(X, X)) / lam
+    T = S / lam
+    p = np.einsum("ij,ij->i", A, T)
+    E = A @ (-2.0 * T).T
+    E += p[:, None]
+    E += p[None, :]
+    E += (1.0 / lam**2).sum()
+    if spec.family == "gaussian":
+        E -= W
+        del W
+        R *= -0.5
+        np.exp(R, out=R)
+    else:
+        beta = spec.imq_exponent
+        R += 1.0
+        W /= R
+        W *= 2.0 * (beta + 1.0)
+        E -= W
+        del W
+        E /= R
+        E *= 2.0 * beta
+        np.power(R, -beta, out=R)
+    E += S @ S.T
+    E *= R
+    E *= _norm_const(spec, dim)
+    return E
+
+
 def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     """Matrix of Stein kernel values over one sample, exactly symmetric."""
     X = _as_points(points)
     S = np.asarray(scores, dtype=float)
     if S.shape != X.shape:
         raise ValueError(f"scores shape {S.shape} does not match points {X.shape}")
-    K = gram_matrix(spec, X, X)
-    G1 = grad1_matrix(spec, X, X)
-    C = cross_derivative_matrix(spec, X, X)
-    H = K * (S @ S.T)
-    H += np.einsum("ijd,jd->ij", G1, S)
-    H -= np.einsum("ijd,id->ij", G1, S)
-    H += C
-    return 0.5 * (H + H.T)  # remove ulp-level BLAS asymmetry
+    if spec.family == "laplace":
+        H = gram_matrix(spec, X, X) * (S @ S.T)
+        G1 = grad1_matrix(spec, X, X)
+        H += np.einsum("ijd,jd->ij", G1, S)
+        H -= np.einsum("ijd,id->ij", G1, S)
+        H += cross_derivative_matrix(spec, X, X)
+    else:
+        H = _smooth_stein_matrix(spec, X, S)
+    _symmetrise(H)
+    return H
 
 
 def derivative_bounds(spec: KernelSpec, dim: int) -> tuple[float, float, float]:
@@ -305,15 +468,15 @@ def stein_kernel_bound(spec: KernelSpec, dim: int, score_bound: float) -> float:
     return K * score_bound**2 + 2.0 * G * score_bound + H
 
 
-def _sorted_nonzero_distances(points: np.ndarray) -> np.ndarray:
+def _nonzero_distances(points: np.ndarray) -> np.ndarray:
+    """The positive pairwise Euclidean distances, in no particular order."""
     X = _as_points(points)
-    if X.shape[0] < 2:
+    n = X.shape[0]
+    if n < 2:
         raise ValueError("need at least 2 points")
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.einsum("mnd,mnd->mn", diff, diff))
-    iu = np.triu_indices(X.shape[0], k=1)
-    vals = np.sort(dist[iu])
-    vals = vals[vals > 0]
+    D = _sq_distances(X, X, np.ones(X.shape[1]), True)
+    vals = D[~np.tri(n, dtype=bool)]  # strict upper triangle
+    vals = np.sqrt(vals[vals > 0])
     if vals.size == 0:
         raise ValueError("all points are identical: no positive pairwise distance")
     return vals
@@ -321,20 +484,20 @@ def _sorted_nonzero_distances(points: np.ndarray) -> np.ndarray:
 
 def median_heuristic(points) -> float:
     """Median of the nonzero pairwise Euclidean distances."""
-    return float(np.median(_sorted_nonzero_distances(points)))
+    return float(np.median(_nonzero_distances(points)))
 
 
 def bandwidth_grid(points, count: int) -> np.ndarray:
     """Geometric bandwidth grid spanning the inter-sample distances.
 
     Returns ``count`` bandwidths geometrically spaced between the 5% and
-    95% quantiles of the nonzero pairwise distances.  Distances are sorted
-    before the quantiles are taken, so the output is invariant under any
-    reordering of the input rows.
+    95% quantiles of the nonzero pairwise distances.  The quantiles depend
+    only on the multiset of distances, whose values do not depend on the
+    order of the input rows, so neither does the output.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    vals = _sorted_nonzero_distances(points)
+    vals = _nonzero_distances(points)
     lo = float(np.quantile(vals, 0.05))
     hi = float(np.quantile(vals, 0.95))
     if count == 1:

@@ -166,7 +166,10 @@ class TestResult:
             "kernel": list(self.kernels),
         }
         if self.constraint is not None:
-            out["constraint"] = dict(self.constraint)
+            # xi = inf (no privacy noise) has no strict-JSON number: emitted as null
+            out["constraint"] = {
+                k: None if k == "xi" and math.isinf(v) else v for k, v in self.constraint.items()
+            }
         return out
 
 

@@ -313,6 +313,28 @@ def test_constraint_sweep_grid():
         assert cell["r"] in (0, 2)
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_infinite_xi_emitted_as_null(tmp_path, capsys):
+    xp, yp = _two_sample_files(tmp_path)
+    base = ["test", "two-sample", "--x", xp, "--y", yp, "--seed", "5", "--replicates", "19"]
+    for extra in (["--robust-r", "1"], ["--dp-epsilon", "inf"]):
+        assert main(base + extra) == 0
+        assert _strict_json(capsys.readouterr().out)["constraint"]["xi"] is None
+    config = ExperimentConfig(
+        experiment="constraint_sweep", framework="mmd", sample_sizes=(10,), trials=2,
+        replicates=19, xi_values=(math.inf, 0.5), seed=1,
+    )
+    report = _strict_json(report_json(run_experiment(config)))
+    assert [cell["xi"] for cell in report["cells"]] == [None, 0.5]
+    assert report["config"]["xi_values"] == [None, 0.5]
+
+
 def test_cli_experiment_run(tmp_path, capsys):
     cfg = _write(
         tmp_path / "exp.cfg",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,106 @@ def test_gram_positive_semidefinite(spec):
         g = gram_matrix(spec, pts, pts)
         eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
         assert eigs.min() >= -1e-8 * kernel_bound(spec, 2)
+
+
+# --- precision of the BLAS distance form -------------------------------------
+
+
+def _reference_gram(spec, A, B):
+    """Difference-form gram from the (m, n, d) tensor of scaled differences."""
+    U = (A[:, None, :] - B[None, :, :]) / spec.bandwidth_vector(A.shape[1])
+    if spec.family == "gaussian":
+        base = np.exp(-0.5 * (U**2).sum(axis=-1))
+    elif spec.family == "laplace":
+        base = np.exp(-np.abs(U).sum(axis=-1))
+    else:
+        base = (1.0 + (U**2).sum(axis=-1)) ** (-spec.imq_exponent)
+    return kernel_bound(spec, A.shape[1]) * base
+
+
+def _reference_stein(spec, X, S):
+    """Stein matrix from the reference gram and the difference-form derivatives."""
+    G1 = grad1_matrix(spec, X, X)
+    H = _reference_gram(spec, X, X) * (S @ S.T)
+    H += np.einsum("ijd,jd->ij", G1, S) - np.einsum("ijd,id->ij", G1, S)
+    H += cross_derivative_matrix(spec, X, X)
+    return 0.5 * (H + H.T)
+
+
+def _precision_points():
+    rng = np.random.default_rng(41)
+    base = rng.normal(size=(9, 3))
+    duplicates = base.copy()
+    duplicates[6], duplicates[8] = base[1], base[4]
+    near = base.copy()
+    near[6] = base[1] + 1e-9
+    near[8] = base[4] - 1e-9 * np.array([1.0, -2.0, 0.5])
+    return {
+        "duplicates": duplicates,
+        "near_duplicates": near,
+        "offset_1e6": base + 1e6,
+        "anisotropic": base,
+        "two_dims": near[:, :2] + 1e6,  # coordinate differences are accumulated below three dimensions
+    }
+
+
+def _precision_cases():
+    isotropic = [gaussian_kernel(1.3), laplace_kernel(1.3), imq_kernel(1.3, exponent=0.6)]
+    anisotropic = [
+        gaussian_kernel((0.4, 1.1, 2.5)),
+        laplace_kernel((0.4, 1.1, 2.5)),
+        imq_kernel((0.4, 1.1, 2.5), exponent=0.6),
+    ]
+    for name, points in _precision_points().items():
+        for spec in anisotropic if name == "anisotropic" else isotropic:
+            yield pytest.param(spec, points, id=f"{name}-{spec.family}")
+
+
+@pytest.mark.parametrize("spec, points", list(_precision_cases()))
+def test_gram_and_stein_match_difference_form(spec, points):
+    scores = np.random.default_rng(43).normal(size=points.shape)
+    first, second = points[:7], points[4:]  # cross gram sharing three rows
+    for a, b in ((points, points), (first, second)):
+        np.testing.assert_allclose(gram_matrix(spec, a, b), _reference_gram(spec, a, b), rtol=1e-12)
+    ref = _reference_stein(spec, points, scores)
+    # Stein entries are sums of terms of both signs, so the error is relative to the matrix scale
+    np.testing.assert_allclose(
+        stein_matrix(spec, points, scores), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+    )
+
+
+@pytest.mark.parametrize("name", ["duplicates", "near_duplicates", "offset_1e6", "two_dims"])
+def test_bandwidths_match_difference_form(name):
+    points = _precision_points()[name]
+    diff = points[:, None, :] - points[None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=-1))[np.triu_indices(len(points), k=1)]
+    dists = np.sort(dists[dists > 0])
+    expected = np.geomspace(np.quantile(dists, 0.05), np.quantile(dists, 0.95), 4)
+    np.testing.assert_allclose(bandwidth_grid(points, 4), expected, rtol=1e-12)
+    assert median_heuristic(points) == pytest.approx(np.median(dists), rel=1e-12)
+
+
+def test_gram_exact_at_identical_points():
+    rng = np.random.default_rng(44)
+    pts = rng.normal(size=(12, 4)) + 1e3
+    pts[7] = pts[2]
+    for spec in (gaussian_kernel(0.9), imq_kernel(0.9)):
+        g = gram_matrix(spec, pts, pts)
+        assert np.array_equal(g, g.T)
+        assert np.all(np.diagonal(g) == 1.0) and g[2, 7] == 1.0
+        assert np.array_equal(gram_matrix(spec, pts, pts.copy()), g)
+
+
+def test_large_gram_and_bandwidth_memory():
+    # the (m, n, d) difference tensor of 1024 x 50 points alone takes 400 MiB
+    pts = np.random.default_rng(45).normal(size=(1024, 50))
+    tracemalloc.start()
+    try:
+        gram_matrix(gaussian_kernel(median_heuristic(pts)), pts, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
 
 
 # --- bandwidth selection ---------------------------------------------------

@@ -24,9 +24,13 @@ import numpy as np
 
 from .engines import collection_replicates, framework_of
 from .resampling import ReplicateSpec, TestResult, _alpha_count, test_decision
-from .testing import resolve_design
+from .statistics import TwoSampleData
+from .testing import _collection_descriptions, resolve_design
 
 POOL_METHODS = ("mean", "max", "fuse")
+
+# halvings of [alpha/|K|, alpha] in the search for the adjusted level u*
+_BISECTION_ITERS = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,12 +152,7 @@ def pooled_test(
     (zero scales fall back to one).
     """
     framework = framework_of(data)
-    design = None
-    if rep.method == "wild_bootstrap":
-        n = data.m if framework == "mmd" else (data.n // 2 if framework == "hsic" else data.n)
-        design = resolve_design(n, blocks, design_size)
-    elif blocks is not None or design_size is not None:
-        raise ValueError("block/incomplete statistics require the wild bootstrap")
+    design = resolve_design(data, rep.method, blocks, design_size)
     originals, reps = collection_replicates(
         data, list(collection.kernels), rep, statistic=statistic, design=design
     )
@@ -172,28 +171,20 @@ def pooled_test(
         framework=framework,
         method=rep.method,
         seed=rep.seed,
-        kernels=_collection_descriptions(framework, collection),
+        kernels=_collection_descriptions(framework, collection.kernels),
         constraint=None,
     )
 
 
-def _collection_descriptions(framework: str, collection: KernelCollection) -> tuple:
-    out = []
-    for entry in collection.kernels:
-        if framework == "hsic":
-            kx, ky = entry
-            out.append({**kx.describe(), "component": "x"})
-            out.append({**ky.describe(), "component": "y"})
-        else:
-            out.append(entry.describe())
-    return tuple(out)
+def _sample_size(data) -> int:
+    """The sample size N of the adaptivity and sensitivity bounds: min(m, n), or n."""
+    return min(data.m, data.n) if isinstance(data, TwoSampleData) else data.n
 
 
 def _with_runtime_defaults(config: PoolConfig, data, collection: KernelCollection, reps: np.ndarray) -> PoolConfig:
     updates = {}
     if config.method == "fuse":
-        n = min(data.m, data.n) if hasattr(data, "m") else data.n
-        floor = _default_nu(n, collection.size)
+        floor = _default_nu(_sample_size(data), collection.size)
         if config.nu is None:
             updates["nu"] = floor
         elif config.nu < floor:
@@ -287,8 +278,9 @@ def aggregated_test(
     collection: KernelCollection,
     rep: ReplicateSpec,
     alpha: float = 0.05,
-    bisection_iters: int = 20,
     *,
+    blocks: int | None = None,
+    design_size: int | None = None,
     statistic: str | None = None,
 ) -> AggregatedTestResult:
     """Multiple test over the collection at the adjusted level u*.
@@ -296,7 +288,9 @@ def aggregated_test(
     Rejects when any kernel's original statistic exceeds its u*-level
     quantile.  The reported p-value is the smallest level at which the
     aggregated test would reject, found by bisection over levels; it is
-    at most alpha exactly when the test rejects.
+    at most alpha exactly when the test rejects.  With ``blocks`` or
+    ``design_size`` (wild bootstrap only) each kernel's statistic is its
+    block or incomplete design mean, as for the single-kernel test.
     """
     framework = framework_of(data)
     count = collection.size
@@ -305,39 +299,28 @@ def aggregated_test(
             f"need (replicates+1) * alpha / |K| >= 1 for the Bonferroni level: "
             f"got {rep.count} replicates for alpha={alpha}, |K|={count}"
         )
-    originals, reps = collection_replicates(data, list(collection.kernels), rep, statistic=statistic)
-    weights = collection.weight_vector()
-    return _aggregate_decide(
-        originals,
-        reps,
-        alpha,
-        weights,
-        bisection_iters,
-        framework=framework,
-        method=rep.method,
-        seed=rep.seed,
-        collection=collection,
+    design = resolve_design(data, rep.method, blocks, design_size)
+    originals, reps = collection_replicates(
+        data, list(collection.kernels), rep, statistic=statistic, design=design
     )
+    return _aggregate_decide(originals, reps, alpha, framework, rep, collection)
 
 
 def _aggregate_decide(
     originals: np.ndarray,
     replicates: np.ndarray,
     alpha: float,
-    weights: np.ndarray,
-    iters: int,
-    *,
-    framework: str = "unspecified",
-    method: str = "unspecified",
-    seed: int = 0,
-    collection: KernelCollection | None = None,
+    framework: str,
+    rep: ReplicateSpec,
+    collection: KernelCollection,
 ) -> AggregatedTestResult:
     count = originals.size
+    weights = collection.weight_vector()
     n_rep = replicates.shape[1]
     sorted_pools = np.sort(np.column_stack([replicates, originals]), axis=1)
 
     def decide(level: float) -> tuple[bool, float, np.ndarray]:
-        u = _adjusted_level(originals, replicates, level, weights, iters)
+        u = _adjusted_level(originals, replicates, level, weights, _BISECTION_ITERS)
         thr = _adjusted_thresholds(sorted_pools, u * weights * count)
         return bool((originals > thr).any()), u, thr
 
@@ -352,19 +335,17 @@ def _aggregate_decide(
     p_value = hi if (reject or hi < 1.0) else 1.0
     margins = originals - thresholds
     per_kernel = []
-    for k in range(count):
+    for k, entry in enumerate(collection.kernels):
         ge = 1 + int(np.count_nonzero(replicates[k] >= originals[k]))
-        entry_desc = _entry_descriptions(framework, collection, k) if collection is not None else ()
         per_kernel.append(
             KernelOutcome(
-                kernels=entry_desc,
+                kernels=_collection_descriptions(framework, [entry]),
                 statistic=float(originals[k]),
                 threshold=float(thresholds[k]),
                 p_value=ge / (n_rep + 1),
                 reject=bool(originals[k] > thresholds[k]),
             )
         )
-    kernels_desc = _collection_descriptions(framework, collection) if collection is not None else ()
     return AggregatedTestResult(
         framework=framework,
         statistic=float(margins.max()),
@@ -373,18 +354,11 @@ def _aggregate_decide(
         reject=reject,
         alpha=alpha,
         replicates=n_rep,
-        method=method,
-        seed=seed,
-        kernels=kernels_desc,
+        method=rep.method,
+        seed=rep.seed,
+        kernels=_collection_descriptions(framework, collection.kernels),
         constraint=None,
         adjusted_level=float(u_star),
         per_kernel=tuple(per_kernel),
     )
 
-
-def _entry_descriptions(framework: str, collection: KernelCollection, index: int) -> tuple:
-    entry = collection.kernels[index]
-    if framework == "hsic":
-        kx, ky = entry
-        return ({**kx.describe(), "component": "x"}, {**ky.describe(), "component": "y"})
-    return (entry.describe(),)

@@ -34,16 +34,10 @@ import math
 import numpy as np
 
 from . import kernels as _kernels
-from .adaptive import (
-    KernelCollection,
-    PoolConfig,
-    _collection_descriptions,
-    _pool_columns,
-    _with_runtime_defaults,
-)
+from .adaptive import KernelCollection, PoolConfig, _pool_columns, _sample_size, _with_runtime_defaults
 from .engines import collection_replicates, framework_of
 from .resampling import ReplicateSpec, TAG_NOISE, TestResult, stream, test_decision
-from .statistics import PairedData
+from .testing import _collection_descriptions
 
 MMD_SENSITIVITY_CONSTANT = 2.0
 HSIC_SENSITIVITY_CONSTANT = 2.0
@@ -175,7 +169,7 @@ def _constrained_test(
     else:
         collection = KernelCollection((kernel,))
     if robust is not None:
-        size = data.n if isinstance(data, PairedData) else min(data.m, data.n)
+        size = _sample_size(data)
         if robust.r > size:
             raise ValueError(f"r={robust.r} exceeds the sample size {size}")
 
@@ -219,7 +213,7 @@ def _constrained_test(
         framework=framework,
         method=rep.method,
         seed=rep.seed,
-        kernels=_collection_descriptions(framework, collection),
+        kernels=_collection_descriptions(framework, collection.kernels),
         constraint=meta,
     )
 

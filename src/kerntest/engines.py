@@ -77,7 +77,8 @@ def wild_replicates(
     """Wild-bootstrap statistics (1/|D|) sum eps_i eps_j H[i, j].
 
     Returns (originals, replicates) of shapes (K,) and (K, B); one shared
-    sign vector per replicate across the K cores.
+    sign vector per replicate across the K cores.  No design means all
+    off-diagonal pairs, i.e. one block, for which no indices are built.
     """
     n = cores[0].n
     if any(c.n != n for c in cores):
@@ -89,18 +90,15 @@ def wild_replicates(
         raise ValueError("need n >= 2")
     signs = _sign_matrix(rep.seed, rep.count, n)
     vals = np.empty((len(cores), rep.count + 1))
-    if design is None or design.structure == "full_offdiag":
-        size = n * (n - 1)
-        for k, c in enumerate(cores):
-            vals[k] = _quadratic_offdiag(c.h, signs) / size
-    elif design.block_count is not None:
-        size = n // design.block_count
+    blocks = 1 if design is None else design.block_count
+    if blocks is not None:
+        size = n // blocks
         for k, c in enumerate(cores):
             acc = np.zeros(rep.count + 1)
-            for b in range(design.block_count):
+            for b in range(blocks):
                 sl = slice(b * size, (b + 1) * size)
                 acc += _quadratic_offdiag(c.h[sl, sl], signs[:, sl])
-            vals[k] = acc / design.size
+            vals[k] = acc / (blocks * size * (size - 1))
     else:
         hv = np.stack([c.h[design.idx_i, design.idx_j] for c in cores])
         chunk = max(1, _CHUNK_ELEMENTS // design.size)
@@ -108,7 +106,7 @@ def wild_replicates(
             hi = min(lo + chunk, rep.count + 1)
             e = signs[lo:hi, design.idx_i] * signs[lo:hi, design.idx_j]
             vals[:, lo:hi] = hv @ e.T / design.size
-    return vals[:, 0].copy(), vals[:, 1:].copy()
+    return _finalize(vals)
 
 
 def _finalize(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

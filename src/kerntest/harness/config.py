@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.experiment == "rate_scaling" and self.framework == "ksd":
             raise ConfigError("rate_scaling is implemented for the mmd and hsic frameworks")
+        if self.experiment == "rate_scaling" and len(set(self.sample_sizes)) < 2:
+            raise ConfigError("rate_scaling fits a slope and needs at least two distinct sample sizes")
 
     def resolved_generator(self) -> str:
         if self.generator:

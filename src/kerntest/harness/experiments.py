@@ -174,7 +174,7 @@ def _fit_slope(log_n: np.ndarray, log_shift: np.ndarray) -> dict:
     dof = max(log_n.size - 2, 1)
     var = float(residual @ residual) / dof
     sxx = float(((log_n - log_n.mean()) ** 2).sum())
-    se = math.sqrt(var / sxx) if sxx > 0 else float("inf")
+    se = math.sqrt(var / sxx)
     return {
         "estimate": float(slope),
         "intercept": float(intercept),

@@ -145,34 +145,26 @@ def _make_spec(setup: TestSetup, bandwidth: float) -> KernelSpec:
     return KernelSpec(setup.kernel_family, bandwidth)
 
 
-def _resolve_kernels(setup: TestSetup, data):
-    """Turn the bandwidth request into a spec, a pair, or a collection."""
+def _resolve_kernels(setup: TestSetup, data) -> KernelCollection:
+    """Turn the bandwidth request into a kernel collection: one spec (or
+    HSIC pair) for a fixed or median bandwidth, one per grid point otherwise."""
     mode, value = _parse_bandwidth(setup.bandwidth)
-    if setup.framework == "hsic":
-        x_pts, y_pts = data.x_part, data.y_part
+
+    def bandwidths(points):
         if mode == "fixed":
-            pair = (_make_spec(setup, value), _make_spec(setup, value))
-            return pair if setup.adapt == "none" else KernelCollection((pair,))
+            return (value,)
         if mode == "median":
-            pair = (_make_spec(setup, median_heuristic(x_pts)), _make_spec(setup, median_heuristic(y_pts)))
-            return pair if setup.adapt == "none" else KernelCollection((pair,))
-        grid_x = bandwidth_grid(x_pts, value)
-        grid_y = bandwidth_grid(y_pts, value)
-        pairs = tuple(
-            (_make_spec(setup, bx), _make_spec(setup, by)) for bx in grid_x for by in grid_y
+            return (median_heuristic(points),)
+        return bandwidth_grid(points, value)
+
+    if setup.framework == "hsic":
+        grid_x = bandwidths(data.x_part)
+        grid_y = bandwidths(data.y_part)
+        return KernelCollection(
+            tuple((_make_spec(setup, bx), _make_spec(setup, by)) for bx in grid_x for by in grid_y)
         )
-        return KernelCollection(pairs)
-    if isinstance(data, TwoSampleData):
-        points = np.vstack([data.x, data.y])
-    else:
-        points = data.x
-    if mode == "fixed":
-        spec = _make_spec(setup, value)
-    elif mode == "median":
-        spec = _make_spec(setup, median_heuristic(points))
-    else:
-        return KernelCollection(tuple(_make_spec(setup, b) for b in bandwidth_grid(points, value)))
-    return spec if setup.adapt == "none" else KernelCollection((spec,))
+    points = np.vstack([data.x, data.y]) if isinstance(data, TwoSampleData) else data.x
+    return KernelCollection(tuple(_make_spec(setup, b) for b in bandwidths(points)))
 
 
 def execute(setup: TestSetup, data) -> TestResult:
@@ -180,7 +172,7 @@ def execute(setup: TestSetup, data) -> TestResult:
     validate_setup(setup)
     method = resolve_method(setup)
     rep = ReplicateSpec(count=setup.replicates, method=method, seed=setup.seed)
-    kernels = _resolve_kernels(setup, data)
+    collection = _resolve_kernels(setup, data)
     privacy = None
     if setup.dp_epsilon is not None:
         privacy = PrivacyParams(setup.dp_epsilon, setup.dp_delta)
@@ -188,44 +180,41 @@ def execute(setup: TestSetup, data) -> TestResult:
 
     if privacy is not None or robust is not None:
         pool_config = None
+        kernels = collection.kernels[0]
         if setup.adapt.startswith("pool:"):
             pool_config = PoolConfig(method=setup.adapt.split(":", 1)[1], nu=setup.nu)
-            if not isinstance(kernels, KernelCollection):
-                kernels = KernelCollection((kernels,))
-        elif isinstance(kernels, KernelCollection):
-            raise ConfigError("a kernel collection under constraints requires pooling")
+            kernels = collection
         if privacy is not None:
             return dp_test(data, kernels, setup.alpha, privacy, rep, pool_config=pool_config, robust=robust)
         return robust_test(data, kernels, setup.alpha, robust, rep, pool_config=pool_config)
 
     if setup.adapt == "agg":
-        if not isinstance(kernels, KernelCollection):
-            kernels = KernelCollection((kernels,))
-        return aggregated_test(data, kernels, rep, setup.alpha)
+        return aggregated_test(
+            data, collection, rep, setup.alpha, blocks=setup.blocks, design_size=setup.design_size
+        )
     if setup.adapt.startswith("pool:"):
-        if not isinstance(kernels, KernelCollection):
-            kernels = KernelCollection((kernels,))
         config = PoolConfig(
             method=setup.adapt.split(":", 1)[1], nu=setup.nu, normalized=setup.normalized
         )
         return pooled_test(
-            data, kernels, config, rep, setup.alpha,
+            data, collection, config, rep, setup.alpha,
             blocks=setup.blocks, design_size=setup.design_size,
         )
 
+    entry = collection.kernels[0]
     if isinstance(data, TwoSampleData):
         return two_sample_test(
-            data, None, kernels, alpha=setup.alpha, replicates=setup.replicates,
+            data, None, entry, alpha=setup.alpha, replicates=setup.replicates,
             method=method, seed=setup.seed, blocks=setup.blocks, design_size=setup.design_size,
         )
     if isinstance(data, PairedData):
-        kx, ky = kernels
+        kx, ky = entry
         return independence_test(
             data, kx, ky, alpha=setup.alpha, replicates=setup.replicates,
             method=method, seed=setup.seed, blocks=setup.blocks, design_size=setup.design_size,
         )
     assert isinstance(data, ModelSampleData)
     return goodness_of_fit_test(
-        data, None, kernels, alpha=setup.alpha, replicates=setup.replicates,
+        data, None, entry, alpha=setup.alpha, replicates=setup.replicates,
         seed=setup.seed, blocks=setup.blocks, design_size=setup.design_size,
     )

@@ -142,7 +142,6 @@ class CoreMatrix:
     h: np.ndarray
     kernel_bound: float
     framework: str
-    diagonal_policy: str = "excluded"
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -150,8 +149,6 @@ class CoreMatrix:
             raise ValueError("core matrix must be square")
         if self.framework not in FRAMEWORKS:
             raise ValueError(f"unknown framework {self.framework!r}")
-        if self.diagonal_policy not in ("included", "excluded"):
-            raise ValueError("diagonal_policy must be 'included' or 'excluded'")
         object.__setattr__(self, "h", h)
 
     @property
@@ -169,11 +166,15 @@ class HsicCoreMatrix(CoreMatrix):
 
 @dataclasses.dataclass(frozen=True)
 class DesignSet:
-    """An ordered set of index pairs (i, j) defining an incomplete statistic."""
+    """An ordered set of index pairs (i, j) defining an incomplete statistic.
+
+    ``block_count`` marks the pairs of ``block`` (``full_offdiag`` is one
+    block); the wild engine then sums per-block quadratic forms instead of
+    gathering the pairs.
+    """
 
     idx_i: np.ndarray
     idx_j: np.ndarray
-    structure: str = "custom"
     block_count: int | None = None
 
     def __post_init__(self):
@@ -194,17 +195,13 @@ class DesignSet:
         n = core.n
         if self.idx_i.min() < 0 or self.idx_j.min() < 0 or self.idx_i.max() >= n or self.idx_j.max() >= n:
             raise ValueError("design pair out of range")
-        if core.diagonal_policy == "excluded" and np.any(self.idx_i == self.idx_j):
+        if np.any(self.idx_i == self.idx_j):
             raise ValueError("design contains diagonal pairs but the core excludes the diagonal")
 
     @classmethod
     def full_offdiag(cls, n: int) -> "DesignSet":
-        """All ordered off-diagonal pairs in row-major order."""
-        if n < 2:
-            raise ValueError("need n >= 2")
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        mask = ii != jj
-        return cls(ii[mask], jj[mask], structure="full_offdiag")
+        """All ordered off-diagonal pairs in row-major order: one block."""
+        return cls.block(n, 1)
 
     @classmethod
     def block(cls, n: int, blocks: int) -> "DesignSet":
@@ -224,12 +221,7 @@ class DesignSet:
             mask = ii != jj
             parts_i.append(ii[mask])
             parts_j.append(jj[mask])
-        return cls(
-            np.concatenate(parts_i),
-            np.concatenate(parts_j),
-            structure=f"block({blocks})",
-            block_count=blocks,
-        )
+        return cls(np.concatenate(parts_i), np.concatenate(parts_j), block_count=blocks)
 
     @classmethod
     def incomplete(cls, n: int, size: int) -> "DesignSet":
@@ -251,7 +243,7 @@ class DesignSet:
             remaining -= count
             if remaining == 0:
                 break
-        return cls(np.concatenate(ii), np.concatenate(jj), structure="custom")
+        return cls(np.concatenate(ii), np.concatenate(jj))
 
 
 def _pair_split_mmd_core(spec: KernelSpec, first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -19,32 +19,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engines import collection_replicates
+from .engines import collection_replicates, framework_of
 from .kernels import KernelSpec, ScoreField
 from .resampling import ReplicateSpec, TestResult, test_decision
-from .statistics import (
-    DesignSet,
-    ModelSampleData,
-    PairedData,
-    TwoSampleData,
-)
+from .statistics import DesignSet, ModelSampleData, PairedData, TwoSampleData
 
 
-def resolve_design(n: int, blocks: int | None, design_size: int | None) -> DesignSet | None:
+def resolve_design(data, method: str, blocks: int | None, design_size: int | None) -> DesignSet | None:
+    """The design a test averages its wild-bootstrap core over; None means
+    all off-diagonal pairs.
+
+    The wild core has one row per MMD pair (m), per HSIC half-split block
+    (N/2) or per KSD sample point (n).
+    """
+    if blocks is None and design_size is None:
+        return None
+    if method != "wild_bootstrap":
+        raise ValueError("block/incomplete statistics require the wild bootstrap")
     if blocks is not None and design_size is not None:
         raise ValueError("blocks and design_size are mutually exclusive")
+    framework = framework_of(data)
+    n = data.m if framework == "mmd" else (data.n // 2 if framework == "hsic" else data.n)
     if blocks is not None:
         return DesignSet.block(n, blocks)
-    if design_size is not None:
-        return DesignSet.incomplete(n, design_size)
-    return None
+    return DesignSet.incomplete(n, design_size)
 
 
-def _kernel_descriptions(framework: str, entry) -> tuple:
-    if framework == "hsic":
-        kx, ky = entry
-        return ({**kx.describe(), "component": "x"}, {**ky.describe(), "component": "y"})
-    return (entry.describe(),)
+def _collection_descriptions(framework: str, entries) -> tuple:
+    """One description per kernel spec; an x and a y description per HSIC pair."""
+    if framework != "hsic":
+        return tuple(spec.describe() for spec in entries)
+    return tuple(
+        {**spec.describe(), "component": component} for pair in entries for spec, component in zip(pair, "xy")
+    )
 
 
 def _single_test(
@@ -58,19 +65,11 @@ def _single_test(
     statistic: str | None,
     blocks: int | None,
     design_size: int | None,
-    framework: str,
 ) -> TestResult:
+    framework = framework_of(data)
     rep = ReplicateSpec(count=replicates, method=method, seed=seed)
-    if method == "wild_bootstrap":
-        n = data.n if not isinstance(data, TwoSampleData) else data.m
-        if framework == "hsic":
-            n = data.n // 2
-        design = resolve_design(n, blocks, design_size)
-        originals, reps = collection_replicates(data, [entry], rep, design=design)
-    else:
-        if blocks is not None or design_size is not None:
-            raise ValueError("block/incomplete statistics require the wild bootstrap")
-        originals, reps = collection_replicates(data, [entry], rep, statistic=statistic or "sqrt_v")
+    design = resolve_design(data, method, blocks, design_size)
+    originals, reps = collection_replicates(data, [entry], rep, statistic=statistic, design=design)
     return test_decision(
         originals[0],
         reps[0],
@@ -78,7 +77,7 @@ def _single_test(
         framework=framework,
         method=method,
         seed=seed,
-        kernels=_kernel_descriptions(framework, entry),
+        kernels=_collection_descriptions(framework, [entry]),
     )
 
 
@@ -107,7 +106,6 @@ def two_sample_test(
         statistic=statistic,
         blocks=blocks,
         design_size=design_size,
-        framework="mmd",
     )
 
 
@@ -135,7 +133,6 @@ def independence_test(
         statistic=statistic,
         blocks=blocks,
         design_size=design_size,
-        framework="hsic",
     )
 
 
@@ -172,5 +169,4 @@ def goodness_of_fit_test(
         statistic=None,
         blocks=blocks,
         design_size=design_size,
-        framework="ksd",
     )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,12 +15,21 @@ from kerntest.adaptive import (
     pool,
     pooled_test,
 )
-from kerntest.kernels import gaussian_kernel, gram_matrix, laplace_kernel
+from kerntest.harness import run as harness_run
+from kerntest.harness.cli import main
+from kerntest.kernels import gaussian_kernel, gram_matrix, imq_kernel, laplace_kernel, standard_gaussian_score
 from kerntest.resampling import ReplicateSpec
 from kerntest.statistics import (
     CoreMatrix,
+    DesignSet,
+    ModelSampleData,
     PairedData,
     TwoSampleData,
+    block_statistic,
+    core_matrix_hsic_wild,
+    core_matrix_ksd,
+    core_matrix_mmd,
+    incomplete_statistic,
     v_statistic,
 )
 from kerntest.testing import two_sample_test
@@ -298,3 +308,73 @@ def test_adaptive_null_level():
     band = alpha + 3 * math.sqrt(alpha * (1 - alpha) / trials)
     assert pooled_rejects / trials <= band
     assert agg_rejects / trials <= band
+
+
+# --- aggregation over block and incomplete designs ----------------------------------
+
+
+def _design_case(framework):
+    """A dataset, a kernel collection over it, and each entry's wild core."""
+    rng = np.random.default_rng(40)
+    if framework == "mmd":
+        data = TwoSampleData(rng.normal(size=(16, 2)), rng.normal(size=(16, 2)) + 0.3)
+        entries = [gaussian_kernel(b) for b in (0.5, 1.0, 2.0)]
+        return data, entries, lambda spec: core_matrix_mmd(spec, data)
+    if framework == "hsic":
+        x = rng.normal(size=(32, 1))
+        data = PairedData.from_parts(x, 0.5 * x + rng.normal(size=(32, 1)))
+        entries = [(gaussian_kernel(a), gaussian_kernel(b)) for a, b in ((0.5, 1.0), (1.0, 2.0))]
+        return data, entries, lambda pair: core_matrix_hsic_wild(*pair, data)
+    data = ModelSampleData.from_score_field(rng.normal(size=(16, 2)) + 0.2, standard_gaussian_score())
+    entries = [imq_kernel(b) for b in (0.5, 1.0, 2.0)]
+    return data, entries, lambda spec: core_matrix_ksd(spec, data)
+
+
+@pytest.mark.parametrize("framework", ["mmd", "hsic", "ksd"])
+@pytest.mark.parametrize("design", [{"blocks": 4}, {"design_size": 30}])
+def test_aggregated_statistics_are_design_means(framework, design):
+    data, entries, core_of = _design_case(framework)
+    rep = ReplicateSpec(count=99, method="wild_bootstrap", seed=3)
+    agg = aggregated_test(data, KernelCollection(tuple(entries)), rep, 0.05, **design)
+    assert len(agg.per_kernel) == len(entries)
+    for outcome, entry in zip(agg.per_kernel, entries):
+        core = core_of(entry)
+        if "blocks" in design:
+            expected = block_statistic(core, 4)
+        else:
+            expected = incomplete_statistic(core, DesignSet.incomplete(core.n, 30))
+        assert outcome.statistic == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_aggregated_block_design_null_level():
+    alpha = 0.05
+    trials = 200
+    rejects = 0
+    for trial in range(trials):
+        setup = harness_run.TestSetup(
+            framework="mmd", bandwidth="grid:3", adapt="agg", method="wild_bootstrap",
+            blocks=2, replicates=99, seed=trial,
+        )
+        rejects += harness_run.execute(setup, _two_sample(9000 + trial, n=12)).reject
+    assert rejects / trials <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / trials)
+
+
+def test_cli_aggregation_honours_blocks(tmp_path, capsys):
+    rng = np.random.default_rng(41)
+    paths = []
+    for name, shift in (("x", 0.0), ("y", 0.4)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(",".join(map(str, r)) for r in rng.normal(size=(16, 2)) + shift) + "\n")
+        paths.append(str(path))
+    base = ["test", "two-sample", "--x", paths[0], "--y", paths[1], "--bandwidth", "grid:3",
+            "--adapt", "agg", "--method", "wild", "--replicates", "99", "--seed", "4"]
+    outputs = []
+    for extra in ([], ["--blocks", "4"]):
+        assert main(base + extra) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("timing_ms")
+        outputs.append(payload)
+    complete, blocked = outputs
+    assert complete != blocked
+    for a, b in zip(complete["per_kernel"], blocked["per_kernel"]):
+        assert a["statistic"] != b["statistic"]

@@ -372,3 +372,17 @@ def test_rate_scaling_smoke():
     assert len(report["slope"]["points"]) == 2
     for cell in report["cells"]:
         assert cell["detectable_shift"] > 0
+
+
+def test_rate_scaling_needs_two_sample_sizes(tmp_path, capsys):
+    for sizes in ((16,), (16, 16)):
+        with pytest.raises(ConfigError, match="two distinct sample sizes"):
+            ExperimentConfig(experiment="rate_scaling", framework="mmd", sample_sizes=sizes, trials=2)
+    cfg = _write(
+        tmp_path / "rate.cfg",
+        "experiment = rate_scaling\nframework = mmd\nsample_sizes = 16\ntrials = 2\n",
+    )
+    assert main(["experiment", "run", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two distinct sample sizes" in captured.err

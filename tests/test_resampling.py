@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from kerntest.engines import collection_replicates
 from kerntest.kernels import gaussian_kernel
 from kerntest.resampling import (
     TAG_REPLICATE,
+    ReplicateSpec,
     min_replicates,
     pair_swap_signs,
     permuted_statistic,
@@ -111,6 +113,33 @@ def test_wild_sign_length_mismatch():
     core = _random_core(rng, 5)
     with pytest.raises(ValueError):
         wild_bootstrap_statistic(core, DesignSet.full_offdiag(5), np.ones(4))
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_wild_engine_block_branch_matches_pair_gather(blocks):
+    rng = np.random.default_rng(11)
+    n = 10
+    data = TwoSampleData(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+    specs = [gaussian_kernel(0.7), gaussian_kernel(1.5)]
+    rep = ReplicateSpec(count=49, method="wild_bootstrap", seed=2)
+    block = DesignSet.block(n, blocks)
+    pairs = DesignSet(block.idx_i, block.idx_j)
+    assert block.block_count == blocks and pairs.block_count is None
+    quadratic = collection_replicates(data, specs, rep, design=block)
+    gathered = collection_replicates(data, specs, rep, design=pairs)
+    for a, b in zip(quadratic, gathered):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    complete = collection_replicates(data, specs, rep)
+    full = collection_replicates(data, specs, rep, design=DesignSet.full_offdiag(n))
+    for a, b in zip(complete, full):
+        assert np.array_equal(a, b)
+
+
+def test_wild_single_test_rejects_statistic_kind():
+    rng = np.random.default_rng(12)
+    x, y = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    with pytest.raises(ValueError, match="statistic kind"):
+        two_sample_test(x, y, GAUSS, replicates=19, method="wild_bootstrap", statistic="u")
 
 
 # --- permuted statistic and the bootstrap equivalences ---------------------------

@@ -273,6 +273,11 @@ def _adjusted_level(
     return lo
 
 
+def bonferroni_feasible(replicates: int, alpha: float, count: int) -> bool:
+    """Whether the Bonferroni level alpha/|K| admits a quantile of B+1 pooled values."""
+    return (replicates + 1) * alpha / count >= 1.0 - 1e-9
+
+
 def aggregated_test(
     data,
     collection: KernelCollection,
@@ -294,7 +299,7 @@ def aggregated_test(
     """
     framework = framework_of(data)
     count = collection.size
-    if (rep.count + 1) * alpha / count < 1.0 - 1e-9:
+    if not bonferroni_feasible(rep.count, alpha, count):
         raise ValueError(
             f"need (replicates+1) * alpha / |K| >= 1 for the Bonferroni level: "
             f"got {rep.count} replicates for alpha={alpha}, |K|={count}"

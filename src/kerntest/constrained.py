@@ -133,8 +133,8 @@ def _entry_bound(framework: str, entry, data) -> float:
 def _noise_vector(seed: int, count: int, scale: float) -> np.ndarray:
     """Laplace draws by inverse CDF, one per replicate stream; index 0 is the original's."""
     out = np.empty(count)
-    for b in range(count):
-        u = stream(seed, TAG_NOISE, b).random()
+    for b, rng in enumerate(stream(seed, TAG_NOISE, range(count))):
+        u = rng.random()
         if u <= 0.0:
             u = 2.0**-53
         out[b] = scale * laplace_inverse_cdf(u)

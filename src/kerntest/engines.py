@@ -6,8 +6,11 @@ replicate the randomness (a permutation or a Rademacher sign vector) is
 drawn once and shared across all kernels; this sharing is part of the
 correctness contract of the adaptive tests, not an optimisation.
 
-Replicate ``b`` draws from ``stream(seed, TAG_REPLICATE, b)``, so results
-do not depend on evaluation order.  The original statistic is computed
+Replicate ``b`` draws from ``stream(seed, TAG_REPLICATE, b)``, i.e. from
+``default_rng(SeedSequence((seed, TAG_REPLICATE, b)))``, so results do not
+depend on evaluation order.  Each engine takes its B generators from one
+batched ``stream(seed, TAG_REPLICATE, range(B))`` call, which yields
+exactly these generators.  The original statistic is computed
 through the same arithmetic as the replicates (identity permutation,
 all-ones signs), which keeps constrained variants bit-compatible with the
 standard test they degenerate to.
@@ -61,8 +64,8 @@ def _sign_matrix(seed: int, count: int, n: int) -> np.ndarray:
     """(count+1, n) signs; row 0 is all ones (the original)."""
     out = np.empty((count + 1, n))
     out[0] = 1.0
-    for b in range(count):
-        out[b + 1] = rademacher(stream(seed, TAG_REPLICATE, b), n)
+    for b, rng in enumerate(stream(seed, TAG_REPLICATE, range(count)), start=1):
+        out[b] = rademacher(rng, n)
     return out
 
 
@@ -128,11 +131,11 @@ def mmd_permutation_replicates(
     z = np.vstack([data.x, data.y])
     masks = np.empty((rep.count + 1, total))
     masks[0] = np.concatenate([np.ones(m), np.zeros(n)])
-    for b in range(rep.count):
-        perm = sample_two_sample_permutation(stream(rep.seed, TAG_REPLICATE, b), m, n)
+    for b, rng in enumerate(stream(rep.seed, TAG_REPLICATE, range(rep.count)), start=1):
+        perm = sample_two_sample_permutation(rng, m, n)
         row = np.zeros(total)
         row[perm[:m]] = 1.0
-        masks[b + 1] = row
+        masks[b] = row
     comask = 1.0 - masks
     vals = np.empty((len(specs), rep.count + 1))
     for k, spec in enumerate(specs):
@@ -173,8 +176,8 @@ def hsic_permutation_replicates(
     l_diag = np.einsum("kii->ki", lc).copy()
     perms = np.empty((rep.count + 1, n), dtype=np.intp)
     perms[0] = np.arange(n)
-    for b in range(rep.count):
-        perms[b + 1] = sample_paired_permutation(stream(rep.seed, TAG_REPLICATE, b), n)
+    for b, rng in enumerate(stream(rep.seed, TAG_REPLICATE, range(rep.count)), start=1):
+        perms[b] = sample_paired_permutation(rng, n)
     inverses = np.argsort(perms, axis=1)
     vals = np.empty((len(spec_pairs), rep.count + 1))
     chunk = max(1, _GATHER_CHUNK_ELEMENTS // (n * n * len(spec_pairs)))

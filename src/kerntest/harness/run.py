@@ -11,7 +11,13 @@ import dataclasses
 
 import numpy as np
 
-from ..adaptive import KernelCollection, PoolConfig, aggregated_test, pooled_test
+from ..adaptive import (
+    KernelCollection,
+    PoolConfig,
+    aggregated_test,
+    bonferroni_feasible,
+    pooled_test,
+)
 from ..constrained import PrivacyParams, RobustParams, dp_test, robust_test
 from ..errors import ConfigError
 from ..kernels import KernelSpec, bandwidth_grid, median_heuristic
@@ -83,9 +89,11 @@ def validate_setup(setup: TestSetup) -> None:
         raise ConfigError("alpha must lie in (0, 1)")
     if setup.replicates < 1:
         raise ConfigError("replicates must be at least 1")
+    if setup.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     if setup.adapt not in ADAPT_CHOICES:
         raise ConfigError(f"unknown adaptivity mode {setup.adapt!r}")
-    mode, _ = _parse_bandwidth(setup.bandwidth)
+    mode, grid_size = _parse_bandwidth(setup.bandwidth)
     method = resolve_method(setup)
     if method not in ("permutation", "wild_bootstrap"):
         raise ConfigError(f"unknown method {setup.method!r}")
@@ -129,6 +137,14 @@ def validate_setup(setup: TestSetup) -> None:
         if setup.normalized:
             raise ConfigError("--normalized only applies to pooled tests")
     elif setup.adapt == "agg":
+        count = grid_size if mode == "grid" else 1
+        if setup.framework == "hsic":
+            count *= count  # one kernel pair per (x, y) grid point
+        if not bonferroni_feasible(setup.replicates, setup.alpha, count):
+            raise ConfigError(
+                f"--adapt agg needs (replicates+1) * alpha / |K| >= 1: got {setup.replicates} "
+                f"replicates for alpha={setup.alpha}, |K|={count}"
+            )
         if setup.nu is not None:
             raise ConfigError("--nu only applies to fuse pooling")
         if setup.normalized:

@@ -191,6 +191,24 @@ def test_cli_usage_errors_before_computation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_seed_and_aggregation_level_checked_before_data(tmp_path, capsys):
+    # a negative seed and an infeasible Bonferroni level (B+1) alpha / |K| < 1 exit 2
+    # even when the data files do not exist
+    missing = str(tmp_path / "nope.csv")
+    two = ["test", "two-sample", "--x", missing, "--y", missing]
+    hsic = ["test", "independence", "--paired", missing, "--split", "1"]
+    assert main(two + ["--seed", "-1"]) == 2
+    assert main(two + ["--adapt", "agg", "--bandwidth", "grid:10", "--replicates", "99"]) == 2
+    assert main(two + ["--adapt", "agg", "--replicates", "9"]) == 2  # |K| = 1, 10 * 0.05 < 1
+    assert main(hsic + ["--adapt", "agg", "--bandwidth", "grid:3", "--replicates", "99"]) == 2  # |K| = 9
+    err = capsys.readouterr().err
+    assert "seed" in err and "|K|=10" in err and "|K|=1" in err and "|K|=9" in err
+    # feasible settings pass the check and fail on the missing file instead
+    assert main(two + ["--adapt", "agg", "--bandwidth", "grid:3", "--replicates", "99"]) == 3
+    assert main(hsic + ["--adapt", "agg", "--bandwidth", "grid:2", "--replicates", "99"]) == 3  # |K| = 4
+    capsys.readouterr()
+
+
 def test_cli_data_errors_exit_three(tmp_path, capsys):
     bad = _write(tmp_path / "bad.csv", "1.0\nNaN\n")
     good = _write(tmp_path / "good.csv", "1.0\n2.0\n3.0\n")

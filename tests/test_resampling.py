@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from kerntest import constrained, engines
 from kerntest.engines import collection_replicates
+from kerntest.harness import run as harness_run
+from kerntest.harness.generators import builtin_generator
 from kerntest.kernels import gaussian_kernel
 from kerntest.resampling import (
+    TAG_CELL,
+    TAG_DATA,
+    TAG_NOISE,
     TAG_REPLICATE,
     ReplicateSpec,
     min_replicates,
@@ -334,3 +340,108 @@ def test_p_value_validity_exhaustive():
     for k in range(1, total + 2):
         alpha = k / (total + 1)
         assert np.count_nonzero(pvals <= alpha) / total <= alpha + 1e-12
+
+
+# --- batched replicate streams -----------------------------------------------
+
+
+def _reference_stream(seed, tag, index):
+    """One default_rng per replicate index: the per-replicate contract itself."""
+    if isinstance(index, range):
+        return (np.random.default_rng(np.random.SeedSequence((seed, tag, b))) for b in index)
+    return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100])
+@pytest.mark.parametrize("indices", [range(0, 12), range(1000, 1009)])
+def test_batch_stream_bit_identical_to_seed_sequence(seed, indices):
+    for tag in (TAG_REPLICATE, TAG_NOISE, TAG_DATA, TAG_CELL):
+        batch = stream(seed, tag, indices)
+        for b in indices:
+            rng = next(batch)
+            ref = np.random.default_rng(np.random.SeedSequence((seed, tag, b)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.integers(0, 2, size=5), ref.integers(0, 2, size=5))
+            assert rng.random() == ref.random()
+        assert next(batch, None) is None
+
+
+def test_batch_streams_interleave_independently():
+    batches = [stream(3, TAG_REPLICATE, range(20)), stream(2**70, TAG_NOISE, range(5, 25))]
+    interleaved = [[], []]
+    for pair in zip(*batches):
+        for k, rng in enumerate(pair):
+            interleaved[k].append(rng.permutation(6).tolist())
+    sequential = [
+        [rng.permutation(6).tolist() for rng in stream(3, TAG_REPLICATE, range(20))],
+        [rng.permutation(6).tolist() for rng in stream(2**70, TAG_NOISE, range(5, 25))],
+    ]
+    assert interleaved == sequential
+
+
+def test_batch_stream_rejects_negative_and_wide_indices():
+    with pytest.raises(ValueError):
+        stream(-1, TAG_REPLICATE, range(3))
+    with pytest.raises(ValueError):
+        stream(0, TAG_REPLICATE, range(-1, 3))
+    with pytest.raises(ValueError):
+        stream(0, TAG_REPLICATE, range(2**32 - 1, 2**32 + 1))
+
+
+@pytest.mark.parametrize("count", [1, 99])
+def test_engines_match_per_replicate_generators(count, monkeypatch):
+    rng = np.random.default_rng(21)
+    two = TwoSampleData(rng.normal(size=(7, 2)), rng.normal(size=(11, 2)))
+    paired = PairedData.from_parts(rng.normal(size=(9, 1)), rng.normal(size=(9, 2)))
+    cores = [_random_core(rng, 10), _random_core(rng, 10)]
+    rep = ReplicateSpec(count=count, seed=2**40 + 3)
+    wild = ReplicateSpec(count=count, method="wild_bootstrap", seed=8)
+    specs = [gaussian_kernel(0.8), gaussian_kernel(2.0)]
+
+    def run():
+        return [
+            *engines.mmd_permutation_replicates(two, specs, rep, "u"),
+            *engines.hsic_permutation_replicates(paired, [(s, s) for s in specs], rep),
+            engines._sign_matrix(wild.seed, count, 10),
+            *engines.wild_replicates(cores, DesignSet.block(10, 2), wild),
+            constrained._noise_vector(rep.seed, count + 1, 0.3),
+        ]
+
+    batched = run()
+    requested = []
+
+    def reference_stream(seed, tag, index):
+        requested.append((seed, tag, index))
+        return _reference_stream(seed, tag, index)
+
+    monkeypatch.setattr(engines, "stream", reference_stream)
+    monkeypatch.setattr(constrained, "stream", reference_stream)
+    reference = run()
+    for got, want in zip(batched, reference, strict=True):
+        assert np.array_equal(got, want)
+    # replicate b (row b + 1) draws from index b; noise index 0 is the original's
+    permutations = [(rep.seed, TAG_REPLICATE, range(count))] * 2
+    signs = [(wild.seed, TAG_REPLICATE, range(count))] * 2
+    assert requested == permutations + signs + [(rep.seed, TAG_NOISE, range(count + 1))]
+
+
+def test_golden_draws_and_p_values():
+    # Integer draws and p-value counts pinned from the per-replicate streams;
+    # any change to the replicate draws changes them.
+    perms = [[9, 0, 8, 6, 7, 1, 3, 4, 2, 5], [7, 2, 1, 0, 6, 9, 8, 4, 3, 5], [4, 1, 7, 2, 5, 3, 6, 8, 9, 0]]
+    signs = [[1, 1, 1, -1, -1, -1, -1, -1], [-1, 1, -1, 1, 1, -1, -1, 1]]
+    for rngs in ([stream(7, TAG_REPLICATE, b) for b in range(3)], stream(7, TAG_REPLICATE, range(3))):
+        assert [sample_two_sample_permutation(g, 5, 5).tolist() for g in rngs] == perms
+    assert [rademacher(g, 8).astype(int).tolist() for g in stream(7, TAG_REPLICATE, range(2))] == signs
+    mmd = {"m": 15, "n": 12, "dim": 2}
+    cases = [
+        ({"framework": "mmd"}, "gaussian_mean_shift", {**mmd, "shift": 0.4}, 54),
+        ({"framework": "hsic"}, "correlated_gaussian_pairs", {"n": 16, "dim": 1, "rho": 0.3}, 11),
+        ({"framework": "ksd"}, "gaussian_model_sample", {"n": 20, "dim": 2, "shift": 0.3}, 72),
+        ({"framework": "mmd", "bandwidth": "grid:3", "adapt": "pool:fuse", "dp_epsilon": 1.0},
+         "gaussian_mean_shift", {**mmd, "shift": 1.0}, 73),
+    ]
+    for flags, name, params, count in cases:
+        setup = harness_run.TestSetup(replicates=99, seed=7, **flags)
+        result = harness_run.execute(setup, builtin_generator(name, params, 3))
+        assert result.p_value == count / 100

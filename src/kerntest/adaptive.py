@@ -9,9 +9,12 @@ Aggregation runs one test per kernel at a data-calibrated adjusted level
 u* in [alpha/|K|, alpha]: the largest u for which the Monte-Carlo
 probability (over the same replicate set that supplies the per-kernel
 quantiles) that any kernel exceeds its u-level quantile stays at most
-alpha.  The search is a bisection; since u* never drops below the
-Bonferroni level alpha/|K|, every Bonferroni rejection is an aggregated
-rejection.
+alpha.  Thresholds enter only through integer quantile counts, so each
+test ranks its replicates and originals once against the sorted pools
+(`_RankTable`), and the bisections for u* and for the p-value read
+feasibility and decisions from that table instead of re-gathering
+thresholds.  Since u* never drops below the Bonferroni level alpha/|K|,
+every Bonferroni rejection is an aggregated rejection.
 """
 
 from __future__ import annotations
@@ -234,15 +237,84 @@ class AggregatedTestResult(TestResult):
         return out
 
 
+def _quantile_count(level: float, pool_size: int) -> int:
+    """Pool values above the (1 - level)-quantile, capped at pool_size - 1.
+
+    The cap makes a level whose count reaches the pool size (possible with
+    non-uniform weights, where u * w_k * |K| can exceed one) read the pool
+    minimum.
+    """
+    return min(_alpha_count(level, pool_size), pool_size - 1)
+
+
 def _adjusted_thresholds(sorted_pools: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per-kernel (1 - level)-quantiles of the pools {original} u replicates."""
     m = sorted_pools.shape[1]
-    idx = np.array([m - 1 - _alpha_count(level, m) for level in levels])
+    idx = np.array([m - 1 - _quantile_count(level, m) for level in levels])
     return sorted_pools[np.arange(sorted_pools.shape[0]), idx]
 
 
-def _exceedance_probability(replicates: np.ndarray, thresholds: np.ndarray) -> float:
-    return float((replicates > thresholds[:, None]).any(axis=0).mean())
+class _RankTable:
+    """Integer exceedance counts of one test's pools, built once for both searches.
+
+    For a kernel's sorted pool s of B + 1 values and a count
+    c = _quantile_count(level, B + 1) <= B, a value v exceeds the
+    threshold s[B - c] exactly when c >= a(v) = (B + 1) - #{s < v}.  The
+    table holds a(v) for every replicate and every original.  Kernels with
+    equal weights get equal counts at every u, so each weight group keeps
+    only its smallest a per replicate (one group for uniform weights), and
+    feasibility at u becomes a lookup of the exceedance count for the
+    tuple of group counts.  The counts come from the same float arithmetic
+    as `_adjusted_thresholds`, so every decision matches the threshold
+    comparison exactly.
+    """
+
+    def __init__(self, originals: np.ndarray, replicates: np.ndarray, weights: np.ndarray):
+        self.count = originals.size
+        self.n_rep = replicates.shape[1]
+        pools = np.column_stack([replicates, originals])
+        self.sorted_pools = np.sort(pools, axis=1)
+        by_kernel = self.n_rep + 1 - np.array(
+            [np.searchsorted(s, v, side="left") for s, v in zip(self.sorted_pools, pools)]
+        )
+        group_weights, group = np.unique(weights, return_inverse=True)
+        self.group_weights = tuple(float(w) for w in group_weights)
+        first = np.array([by_kernel[group == g].min(axis=0) for g in range(len(self.group_weights))])
+        self.replicate_first = first[:, : self.n_rep]
+        self.original_first = tuple(int(a) for a in first[:, self.n_rep])
+        self._exceedances: dict[tuple[int, ...], int] = {}
+
+    def counts(self, u: float) -> tuple[int, ...]:
+        """Quantile count of each weight group at adjusted level u."""
+        return tuple(_quantile_count(u * w * self.count, self.n_rep + 1) for w in self.group_weights)
+
+    def feasible(self, u: float, alpha: float) -> bool:
+        """Whether at most an alpha share of replicates exceeds some u-level threshold."""
+        counts = self.counts(u)
+        hits = self._exceedances.get(counts)
+        if hits is None:
+            exceeds = self.replicate_first <= np.array(counts)[:, None]
+            hits = self._exceedances[counts] = int(np.count_nonzero(exceeds.any(axis=0)))
+        return hits / self.n_rep <= alpha
+
+    def rejects(self, u: float) -> bool:
+        """Whether some original statistic exceeds its u-level threshold."""
+        return any(c >= a for c, a in zip(self.counts(u), self.original_first))
+
+    def adjusted_level(self, alpha: float, iters: int) -> float:
+        """Largest u in [alpha/|K|, alpha] keeping the any-kernel exceedance
+        probability at most alpha, by bisection; clamped below at the
+        Bonferroni level."""
+        lo, hi = alpha / self.count, alpha
+        if self.count == 1 or self.feasible(hi, alpha):
+            return hi
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            if self.feasible(mid, alpha):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 def _adjusted_level(
@@ -254,23 +326,7 @@ def _adjusted_level(
 ) -> float:
     """Largest u in [alpha/|K|, alpha] keeping the any-kernel exceedance
     probability at most alpha; clamped below at the Bonferroni level."""
-    count = originals.size
-    sorted_pools = np.sort(np.column_stack([replicates, originals]), axis=1)
-
-    def feasible(u: float) -> bool:
-        thr = _adjusted_thresholds(sorted_pools, u * weights * count)
-        return _exceedance_probability(replicates, thr) <= alpha
-
-    lo, hi = alpha / count, alpha
-    if count == 1 or feasible(hi):
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _RankTable(originals, replicates, weights).adjusted_level(alpha, iters)
 
 
 def bonferroni_feasible(replicates: int, alpha: float, count: int) -> bool:
@@ -293,7 +349,9 @@ def aggregated_test(
     Rejects when any kernel's original statistic exceeds its u*-level
     quantile.  The reported p-value is the smallest level at which the
     aggregated test would reject, found by bisection over levels; it is
-    at most alpha exactly when the test rejects.  With ``blocks`` or
+    at most alpha exactly when the test rejects.  Both searches read
+    feasibility and decisions from a rank table built once per test, and
+    the thresholds are gathered once, at u*.  With ``blocks`` or
     ``design_size`` (wild bootstrap only) each kernel's statistic is its
     block or incomplete design mean, as for the single-kernel test.
     """
@@ -322,14 +380,13 @@ def _aggregate_decide(
     count = originals.size
     weights = collection.weight_vector()
     n_rep = replicates.shape[1]
-    sorted_pools = np.sort(np.column_stack([replicates, originals]), axis=1)
+    table = _RankTable(originals, replicates, weights)
 
-    def decide(level: float) -> tuple[bool, float, np.ndarray]:
-        u = _adjusted_level(originals, replicates, level, weights, _BISECTION_ITERS)
-        thr = _adjusted_thresholds(sorted_pools, u * weights * count)
-        return bool((originals > thr).any()), u, thr
+    def decide(level: float) -> tuple[bool, float]:
+        u = table.adjusted_level(level, _BISECTION_ITERS)
+        return table.rejects(u), u
 
-    reject, u_star, thresholds = decide(alpha)
+    reject, u_star = decide(alpha)
     lo, hi = (0.0, alpha) if reject else (alpha, 1.0)
     for _ in range(16):
         mid = 0.5 * (lo + hi)
@@ -338,6 +395,7 @@ def _aggregate_decide(
         else:
             lo = mid
     p_value = hi if (reject or hi < 1.0) else 1.0
+    thresholds = _adjusted_thresholds(table.sorted_pools, u_star * weights * count)
     margins = originals - thresholds
     per_kernel = []
     for k, entry in enumerate(collection.kernels):

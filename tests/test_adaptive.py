@@ -10,6 +10,7 @@ from kerntest.adaptive import (
     PoolConfig,
     _adjusted_level,
     _adjusted_thresholds,
+    _aggregate_decide,
     aggregated_test,
     harmonic_weights,
     pool,
@@ -17,7 +18,15 @@ from kerntest.adaptive import (
 )
 from kerntest.harness import run as harness_run
 from kerntest.harness.cli import main
-from kerntest.kernels import gaussian_kernel, gram_matrix, imq_kernel, laplace_kernel, standard_gaussian_score
+from kerntest.harness.generators import builtin_generator
+from kerntest.kernels import (
+    bandwidth_grid,
+    gaussian_kernel,
+    gram_matrix,
+    imq_kernel,
+    laplace_kernel,
+    standard_gaussian_score,
+)
 from kerntest.resampling import ReplicateSpec
 from kerntest.statistics import (
     CoreMatrix,
@@ -290,6 +299,127 @@ def test_aggregated_exhaustive_type_one_error():
                 thr = _adjusted_thresholds(pools, u * weights * 2)
                 rejections += bool((originals > thr).any())
             assert rejections / 720 <= alpha + 1e-12
+
+
+def _reference_aggregate(originals, replicates, alpha, weights):
+    """The threshold-gathering search: sort the pools, read each kernel's
+    (1 - level)-quantile at every probed level and average the
+    any-kernel exceedance, inside the same two bisections.  A quantile
+    count above B reads the pool minimum."""
+    count, n_rep = replicates.shape
+    pools = np.sort(np.column_stack([replicates, originals]), axis=1)
+
+    def thresholds(u):
+        counts = [int(math.floor(level * (n_rep + 1) + 1e-9)) for level in u * weights * count]
+        return pools[np.arange(count), [n_rep - min(c, n_rep) for c in counts]]
+
+    def adjusted(level):
+        def feasible(u):
+            return float((replicates > thresholds(u)[:, None]).any(axis=0).mean()) <= level
+
+        lo, hi = level / count, level
+        if count == 1 or feasible(hi):
+            return hi
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def decide(level):
+        u = adjusted(level)
+        return bool((originals > thresholds(u)).any()), u
+
+    reject, u_star = decide(alpha)
+    lo, hi = (0.0, alpha) if reject else (alpha, 1.0)
+    for _ in range(16):
+        mid = 0.5 * (lo + hi)
+        if decide(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    p_value = hi if (reject or hi < 1.0) else 1.0
+    thr = thresholds(u_star)
+    return {
+        "reject": reject,
+        "p_value": p_value,
+        "adjusted_level": u_star,
+        "statistic": float((originals - thr).max()),
+        "thresholds": [float(t) for t in thr],
+    }
+
+
+def test_aggregate_decide_matches_reference_search():
+    rng = np.random.default_rng(8)
+    rep = ReplicateSpec(count=1, method="permutation", seed=0)
+    cases = 0
+    while cases < 2000:
+        count = int(rng.integers(1, 6))
+        n_rep = int(rng.choice([19, 99, 100, 199]))  # alpha * 100 is a count: E / B == alpha occurs
+        alpha = float(rng.choice([0.05, 0.1, 0.2]))
+        if (n_rep + 1) * alpha / count < 1:
+            continue
+        if cases % 2:
+            stats = rng.integers(0, 5, size=(count, n_rep + 1)).astype(float)  # ties
+        else:
+            stats = rng.normal(size=(count, n_rep + 1)) + rng.normal(size=(count, 1))
+        stats[:, -1] += rng.choice([0.0, 1.0, 2.5])
+        originals, replicates = stats[:, -1].copy(), stats[:, :-1].copy()
+        if cases % 4 == 0:
+            weights = None
+        elif cases % 4 == 3:  # u * w_1 * |K| > 1 for u > 1 / (0.61 |K|): capped counts
+            weights = harmonic_weights(count)
+        else:  # non-uniform, some weights shared, each w_k * |K| <= 1
+            w = rng.uniform(0.4, 1.0, size=count) / count
+            w[: count // 2] = w[0]
+            weights = tuple(w)
+        collection = KernelCollection(tuple(GAUSS for _ in range(count)), weights)
+        got = _aggregate_decide(originals, replicates, alpha, "mmd", rep, collection).to_json_dict()
+        want = _reference_aggregate(originals, replicates, alpha, collection.weight_vector())
+        assert {key: got[key] for key in ("reject", "p_value", "adjusted_level", "statistic")} == {
+            key: want[key] for key in ("reject", "p_value", "adjusted_level", "statistic")
+        }
+        assert [o["threshold"] for o in got["per_kernel"]] == want["thresholds"]
+        cases += 1
+
+
+def test_aggregated_weight_above_cap_reads_pool_minimum():
+    # harmonic weights give u * w_1 * |K| > 1 inside the p-value search: the
+    # quantile count is capped at B instead of wrapping to a negative index
+    alpha = 0.05
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 0.3
+        collection = KernelCollection(
+            tuple(gaussian_kernel(b) for b in bandwidth_grid(np.vstack([x, y]), 5)),
+            weights=harmonic_weights(5),
+        )
+        rep = ReplicateSpec(count=199, method="permutation", seed=seed)
+        agg = aggregated_test(TwoSampleData(x, y), collection, rep, alpha)
+        assert 0.0 < agg.p_value <= 1.0
+        assert agg.reject == (agg.p_value <= alpha)
+    pools = np.arange(12.0).reshape(2, 6)
+    assert _adjusted_thresholds(pools, np.array([0.99, 1.7])).tolist() == [0.0, 6.0]
+
+
+def test_golden_aggregated_execute():
+    # p-value, u* and decision pinned from the threshold-gathering search;
+    # they depend on the statistics only through their ranks
+    mmd = {"m": 20, "n": 20, "dim": 2, "shift": 0.5}
+    cases = [
+        ({"framework": "mmd", "bandwidth": "grid:10"}, "gaussian_mean_shift", mmd, 5,
+         (0.010050964355468752, 0.024999966621398924, True)),
+        ({"framework": "mmd", "bandwidth": "grid:10", "method": "wild_bootstrap"}, "gaussian_mean_shift",
+         mmd, 5, (0.01507568359375, 0.01999998569488526, True)),
+        ({"framework": "hsic", "bandwidth": "grid:3"}, "correlated_gaussian_pairs",
+         {"n": 20, "dim": 1, "rho": 0.4}, 4, (0.29145736694335944, 0.009999974568684896, False)),
+    ]
+    for flags, name, params, data_seed, expected in cases:
+        setup = harness_run.TestSetup(replicates=199, seed=7, adapt="agg", **flags)
+        result = harness_run.execute(setup, builtin_generator(name, params, data_seed))
+        assert (result.p_value, result.adjusted_level, result.reject) == expected
 
 
 def test_adaptive_null_level():

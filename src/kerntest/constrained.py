@@ -33,10 +33,10 @@ import math
 
 import numpy as np
 
-from . import kernels as _kernels
 from .adaptive import KernelCollection, PoolConfig, _pool_columns, _sample_size, _with_runtime_defaults
 from .engines import collection_replicates, framework_of
 from .resampling import ReplicateSpec, TAG_NOISE, TestResult, stream, test_decision
+from .statistics import core_bound
 from .testing import _collection_descriptions
 
 MMD_SENSITIVITY_CONSTANT = 2.0
@@ -121,15 +121,6 @@ def global_sensitivity(
     raise ValueError("private/robust tests exist only for the MMD and HSIC frameworks")
 
 
-def _entry_bound(framework: str, entry, data) -> float:
-    if framework == "mmd":
-        return 4.0 * _kernels.kernel_bound(entry, data.x.shape[1])
-    kx, ky = entry
-    return 16.0 * _kernels.kernel_bound(kx, data.split) * _kernels.kernel_bound(
-        ky, data.z.shape[1] - data.split
-    )
-
-
 def _noise_vector(seed: int, count: int, scale: float) -> np.ndarray:
     """Laplace draws by inverse CDF, one per replicate stream; index 0 is the original's."""
     out = np.empty(count)
@@ -183,7 +174,7 @@ def _constrained_test(
         original = float(originals[0])
         replicates = reps[0]
 
-    bound = max(_entry_bound(framework, entry, data) for entry in collection.kernels)
+    bound = max(core_bound(entry, data) for entry in collection.kernels)
     if sensitivity is None:
         if framework == "mmd":
             sensitivity = global_sensitivity("mmd", bound, data.m, data.n)

@@ -16,35 +16,33 @@ deterministic functions of the invocation and the seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
 from ..errors import ConfigError, DataError
+from ..kernels import FAMILIES
 from . import io as hio
 from .config import parse_config_file
 from .experiments import report_json, run_experiment
-from .run import TestSetup, execute, validate_setup
+from .run import ADAPT_CHOICES, METHOD_NAMES, TestSetup, execute, validate_setup
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
 
-_METHOD_MAP = {"permutation": "permutation", "wild": "wild_bootstrap"}
-
 
 def _add_test_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=("gaussian", "laplace", "imq"), default="gaussian")
+    parser.add_argument("--kernel", choices=FAMILIES, default="gaussian")
     parser.add_argument("--bandwidth", default="median", help="median | FLOAT | grid:N")
     parser.add_argument("--imq-exponent", type=float, default=0.75)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--replicates", type=int, default=199)
-    parser.add_argument("--method", choices=tuple(_METHOD_MAP), default=None)
+    parser.add_argument("--method", choices=tuple(METHOD_NAMES), default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--blocks", type=int, default=None)
     parser.add_argument("--design-size", type=int, default=None)
-    parser.add_argument(
-        "--adapt", choices=("none", "agg", "pool:mean", "pool:max", "pool:fuse"), default="none"
-    )
+    parser.add_argument("--adapt", choices=ADAPT_CHOICES, default="none")
     parser.add_argument("--nu", type=float, default=None)
     parser.add_argument("--normalized", action="store_true")
     parser.add_argument("--dp-epsilon", type=float, default=None)
@@ -84,24 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_from_args(args: argparse.Namespace, framework: str) -> TestSetup:
-    return TestSetup(
-        framework=framework,
-        kernel_family=args.kernel,
-        bandwidth=args.bandwidth,
-        imq_exponent=args.imq_exponent,
-        alpha=args.alpha,
-        replicates=args.replicates,
-        method=_METHOD_MAP[args.method] if args.method else None,
-        seed=args.seed,
-        blocks=args.blocks,
-        design_size=args.design_size,
-        adapt=args.adapt,
-        nu=args.nu,
-        normalized=args.normalized,
-        dp_epsilon=args.dp_epsilon,
-        dp_delta=args.dp_delta,
-        robust_r=args.robust_r,
-    )
+    # every test flag but --kernel is named after its TestSetup field
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(TestSetup) if hasattr(args, f.name)}
+    return TestSetup(framework=framework, kernel_family=args.kernel, **flags)
 
 
 def _load(args: argparse.Namespace):
@@ -155,9 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -12,7 +12,8 @@ import math
 from pathlib import Path
 
 from ..errors import ConfigError
-from .generators import GENERATOR_NAMES
+from ..statistics import FRAMEWORKS
+from .generators import GENERATORS
 
 EXPERIMENTS = ("calibrate", "power", "rate_scaling", "constraint_sweep")
 
@@ -53,7 +54,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        if self.framework not in ("mmd", "hsic", "ksd"):
+        if self.framework not in FRAMEWORKS:
             raise ConfigError(f"unknown framework {self.framework!r}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -61,12 +62,16 @@ class ExperimentConfig:
             raise ConfigError("sample_sizes must be nonempty")
         if any(n < 4 for n in self.sample_sizes):
             raise ConfigError("sample sizes must be at least 4")
-        if self.generator and self.generator not in GENERATOR_NAMES:
+        if self.generator and self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}")
+        if self.generator and GENERATORS[self.generator][0] != self.framework:
+            raise ConfigError(f"generator {self.generator!r} draws data for {GENERATORS[self.generator][0]} tests")
         if self.experiment == "rate_scaling" and self.framework == "ksd":
             raise ConfigError("rate_scaling is implemented for the mmd and hsic frameworks")
         if self.experiment == "rate_scaling" and len(set(self.sample_sizes)) < 2:
             raise ConfigError("rate_scaling fits a slope and needs at least two distinct sample sizes")
+        if self.experiment == "rate_scaling" and not 0.0 < self.shift_bracket < math.inf:
+            raise ConfigError("shift_bracket must be positive and finite")
 
     def resolved_generator(self) -> str:
         if self.generator:

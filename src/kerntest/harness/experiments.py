@@ -17,9 +17,10 @@ import time
 
 import numpy as np
 
+from ..errors import ConfigError, reported_as
 from ..resampling import TAG_CELL
 from .config import ExperimentConfig, config_echo
-from .generators import builtin_generator
+from .generators import GENERATORS, builtin_generator, generator_params
 from .run import TestSetup, execute, validate_setup
 
 _POWER_TARGET = 0.5
@@ -30,29 +31,16 @@ def _derive_seed(master: int, *parts: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _method_alias(method: str | None) -> str | None:
-    if method is None:
-        return None
-    return {"wild": "wild_bootstrap"}.get(method, method)
-
-
 def _generator_params(config: ExperimentConfig, size: int, knob: float | None = None) -> tuple[str, dict]:
+    """The config's values of its generator's parameters; the knob, when
+    given, replaces the alternative's magnitude (shift or rho)."""
     name = config.resolved_generator()
-    if name == "gaussian_mean_shift":
-        params = {"m": size, "n": size, "dim": config.dimension,
-                  "shift": config.shift if knob is None else knob}
-    elif name == "gaussian_scale":
-        params = {"m": size, "n": size, "dim": config.dimension, "scale": config.scale}
-    elif name == "correlated_gaussian_pairs":
-        params = {"n": size, "dim": config.dimension,
-                  "rho": config.rho if knob is None else knob}
-    elif name == "gaussian_model_sample":
-        params = {"n": size, "dim": config.dimension,
-                  "shift": config.shift if knob is None else knob}
-    else:
-        params = {"n": size, "dim": config.dimension, "df": config.df,
-                  "shift": config.shift if knob is None else knob}
-    return name, params
+    values = {
+        "m": size, "n": size, "dim": config.dimension, "scale": config.scale, "df": config.df,
+        "shift": config.shift if knob is None else knob,
+        "rho": config.rho if knob is None else knob,
+    }
+    return name, {key: value for key, value in values.items() if key in GENERATORS[name][1]}
 
 
 def _setup_for(config: ExperimentConfig, seed: int, cell: dict) -> TestSetup:
@@ -64,7 +52,7 @@ def _setup_for(config: ExperimentConfig, seed: int, cell: dict) -> TestSetup:
         imq_exponent=config.imq_exponent,
         alpha=config.alpha,
         replicates=config.replicates,
-        method=_method_alias(config.method),
+        method=config.method,
         seed=seed,
         blocks=cell.get("blocks"),
         design_size=cell.get("design_size"),
@@ -206,9 +194,13 @@ def _rate_scaling_experiment(config: ExperimentConfig) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the configured experiment and return the report dictionary."""
-    probe = _setup_for(config, 0, _grid(config)[0])
-    validate_setup(probe)
+    """Run the configured experiment and return the report dictionary; every
+    grid cell and every sample size's generator are checked before any draw."""
+    for cell in _grid(config):
+        validate_setup(_setup_for(config, 0, cell))
+    with reported_as(ConfigError):
+        for size in config.sample_sizes:
+            generator_params(*_generator_params(config, size))
     if config.experiment == "rate_scaling":
         body = _rate_scaling_experiment(config)
     else:

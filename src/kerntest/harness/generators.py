@@ -9,22 +9,32 @@ alternative.  Their null settings are shift=0, rho=0 and scale=1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..kernels import standard_gaussian_score, student_t_score
 from ..resampling import TAG_DATA, stream
 from ..statistics import ModelSampleData, PairedData, TwoSampleData
 
-GENERATOR_NAMES = (
-    "gaussian_mean_shift",
-    "gaussian_scale",
-    "correlated_gaussian_pairs",
-    "gaussian_model_sample",
-    "student_t_model_sample",
-)
+# each generator's framework, and its parameters with their defaults (None
+# marks a required one)
+GENERATORS = {
+    "gaussian_mean_shift": ("mmd", {"m": None, "n": None, "dim": 1, "shift": 0.0}),
+    "gaussian_scale": ("mmd", {"m": None, "n": None, "dim": 1, "scale": 1.0}),
+    "correlated_gaussian_pairs": ("hsic", {"n": None, "dim": 1, "rho": 0.0}),
+    "gaussian_model_sample": ("ksd", {"n": None, "dim": 1, "shift": 0.0}),
+    "student_t_model_sample": ("ksd", {"n": None, "dim": 1, "df": 5.0, "shift": 0.0}),
+}
+GENERATOR_NAMES = tuple(GENERATORS)
 
 
-def _check_params(name: str, params: dict, allowed: dict) -> dict:
+def generator_params(name: str, params: dict) -> dict:
+    """The parameters ``builtin_generator`` draws with: ``params`` merged
+    over the defaults and range-checked, without drawing any data."""
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}; choose from {GENERATOR_NAMES}")
+    allowed = GENERATORS[name][1]
     unknown = set(params) - set(allowed)
     if unknown:
         raise ValueError(f"unknown parameters {sorted(unknown)} for generator {name!r}")
@@ -32,6 +42,16 @@ def _check_params(name: str, params: dict, allowed: dict) -> dict:
     missing = [k for k, v in merged.items() if v is None]
     if missing:
         raise ValueError(f"generator {name!r} requires parameters {missing}")
+    if not all(math.isfinite(float(v)) for v in merged.values()):
+        raise ValueError(f"parameters of generator {name!r} must be finite")
+    if int(merged["dim"]) < 1:
+        raise ValueError("dim must be at least 1")
+    if "rho" in merged and not (-1.0 < float(merged["rho"]) < 1.0):
+        raise ValueError("rho must lie in (-1, 1)")
+    if "scale" in merged and not float(merged["scale"]) > 0:
+        raise ValueError("scale must be positive")
+    if "df" in merged:
+        student_t_score(float(merged["df"]), int(merged["dim"]))  # rejects df <= 0
     return merged
 
 
@@ -42,41 +62,28 @@ def _shifted(rng: np.random.Generator, n: int, dim: int, shift: float) -> np.nda
 
 
 def builtin_generator(name: str, params: dict, seed: int):
-    """Build a dataset from a named generator; see GENERATOR_NAMES."""
+    """Build a dataset from a named generator; see GENERATORS."""
+    p = generator_params(name, params)
     rng = stream(seed, TAG_DATA, 0)
+    n, dim = int(p["n"]), int(p["dim"])
     if name == "gaussian_mean_shift":
-        p = _check_params(name, params, {"m": None, "n": None, "dim": 1, "shift": 0.0})
-        return TwoSampleData(
-            rng.normal(size=(int(p["m"]), int(p["dim"]))),
-            _shifted(rng, int(p["n"]), int(p["dim"]), float(p["shift"])),
-        )
+        return TwoSampleData(rng.normal(size=(int(p["m"]), dim)), _shifted(rng, n, dim, float(p["shift"])))
     if name == "gaussian_scale":
-        p = _check_params(name, params, {"m": None, "n": None, "dim": 1, "scale": 1.0})
-        if p["scale"] <= 0:
-            raise ValueError("scale must be positive")
         return TwoSampleData(
-            rng.normal(size=(int(p["m"]), int(p["dim"]))),
-            float(p["scale"]) * rng.normal(size=(int(p["n"]), int(p["dim"]))),
+            rng.normal(size=(int(p["m"]), dim)), float(p["scale"]) * rng.normal(size=(n, dim))
         )
     if name == "correlated_gaussian_pairs":
-        p = _check_params(name, params, {"n": None, "dim": 1, "rho": 0.0})
         rho = float(p["rho"])
-        if not (-1.0 < rho < 1.0):
-            raise ValueError("rho must lie in (-1, 1)")
-        n, dim = int(p["n"]), int(p["dim"])
         x = rng.normal(size=(n, dim))
         y = rho * x + np.sqrt(1.0 - rho**2) * rng.normal(size=(n, dim))
         return PairedData.from_parts(x, y)
     if name == "gaussian_model_sample":
-        p = _check_params(name, params, {"n": None, "dim": 1, "shift": 0.0})
-        x = _shifted(rng, int(p["n"]), int(p["dim"]), float(p["shift"]))
+        x = _shifted(rng, n, dim, float(p["shift"]))
         return ModelSampleData.from_score_field(x, standard_gaussian_score())
-    if name == "student_t_model_sample":
-        p = _check_params(name, params, {"n": None, "dim": 1, "df": 5.0, "shift": 0.0})
-        n, dim, df = int(p["n"]), int(p["dim"]), float(p["df"])
-        z = rng.normal(size=(n, dim))
-        g = rng.chisquare(df, size=(n, 1))
-        x = z / np.sqrt(g / df)
-        x[:, 0] += float(p["shift"])
-        return ModelSampleData.from_score_field(x, student_t_score(df, dim))
-    raise ValueError(f"unknown generator {name!r}; choose from {GENERATOR_NAMES}")
+    # student_t_model_sample, the last name generator_params accepts
+    df = float(p["df"])
+    z = rng.normal(size=(n, dim))
+    g = rng.chisquare(df, size=(n, 1))
+    x = z / np.sqrt(g / df)
+    x[:, 0] += float(p["shift"])
+    return ModelSampleData.from_score_field(x, student_t_score(df, dim))

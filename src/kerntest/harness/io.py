@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, reported_as
 from ..kernels import ScoreField, standard_gaussian_score, student_t_score
 from ..statistics import ModelSampleData, PairedData, TwoSampleData
 
@@ -62,19 +62,11 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def load_two_sample(x_path, y_path) -> TwoSampleData:
-    x, y = read_csv_matrix(x_path), read_csv_matrix(y_path)
-    try:
-        return TwoSampleData(x, y)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return TwoSampleData(read_csv_matrix(x_path), read_csv_matrix(y_path))
 
 
 def load_paired(path, split: int) -> PairedData:
-    z = read_csv_matrix(path)
-    try:
-        return PairedData(z, split)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return PairedData(read_csv_matrix(path), split)
 
 
 def parse_score_spec(spec: str, dim: int) -> ScoreField | str:
@@ -106,11 +98,13 @@ def load_model_sample(sample_path, score_spec: str) -> ModelSampleData:
 
 
 def load_dataset(layout: str, **paths):
-    """Load a dataset by layout name; see LAYOUTS for the choices."""
-    if layout == "two_csv":
-        return load_two_sample(paths["x"], paths["y"])
-    if layout == "paired_csv":
-        return load_paired(paths["paired"], int(paths["split"]))
-    if layout == "model_csv_with_scores":
-        return load_model_sample(paths["sample"], paths["score"])
+    """Load a dataset by layout name; see LAYOUTS for the choices.  What the
+    library rejects with a ValueError (a bad split or score) is a DataError."""
+    with reported_as(DataError):
+        if layout == "two_csv":
+            return load_two_sample(paths["x"], paths["y"])
+        if layout == "paired_csv":
+            return load_paired(paths["paired"], int(paths["split"]))
+        if layout == "model_csv_with_scores":
+            return load_model_sample(paths["sample"], paths["score"])
     raise DataError(f"unknown layout {layout!r}; choose from {LAYOUTS}")

@@ -19,13 +19,16 @@ from ..adaptive import (
     pooled_test,
 )
 from ..constrained import PrivacyParams, RobustParams, dp_test, robust_test
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError, reported_as
 from ..kernels import KernelSpec, bandwidth_grid, median_heuristic
 from ..resampling import ReplicateSpec, TestResult
-from ..statistics import ModelSampleData, PairedData, TwoSampleData
+from ..statistics import FRAMEWORKS, ModelSampleData, PairedData, TwoSampleData
 from ..testing import goodness_of_fit_test, independence_test, two_sample_test
 
 ADAPT_CHOICES = ("none", "agg", "pool:mean", "pool:max", "pool:fuse")
+# method names of the command line and of config files; the library's own
+# names ("wild_bootstrap") are accepted as they are
+METHOD_NAMES = {"permutation": "permutation", "wild": "wild_bootstrap"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,6 +53,18 @@ class TestSetup:
     robust_r: int | None = None
 
 
+@dataclasses.dataclass(frozen=True)
+class CheckedSetup:
+    """The objects a validated TestSetup configures, built before any data."""
+
+    rep: ReplicateSpec
+    kernel: KernelSpec  # family and exponent; median and grid bandwidths are set on the data
+    bandwidth: tuple[str, float | int | None]  # see _parse_bandwidth
+    pool: PoolConfig | None
+    privacy: PrivacyParams | None
+    robust: RobustParams | None
+
+
 def _parse_bandwidth(raw: str) -> tuple[str, float | int | None]:
     """Classify a --bandwidth value: ('median', None), ('grid', N) or ('fixed', value)."""
     if raw == "median":
@@ -63,174 +78,155 @@ def _parse_bandwidth(raw: str) -> tuple[str, float | int | None]:
             raise ConfigError("bandwidth grid size must be at least 1")
         return "grid", count
     try:
-        value = float(raw)
+        return "fixed", float(raw)
     except ValueError:
         raise ConfigError(f"invalid bandwidth {raw!r}: use 'median', a number, or 'grid:N'") from None
-    if not value > 0:
-        raise ConfigError("bandwidth must be positive")
-    return "fixed", value
 
 
 def resolve_method(setup: TestSetup) -> str:
     if setup.method is not None:
-        return setup.method
-    if setup.framework == "ksd":
-        return "wild_bootstrap"
-    if setup.blocks is not None or setup.design_size is not None:
+        return METHOD_NAMES.get(setup.method, setup.method)
+    if setup.framework == "ksd" or setup.blocks is not None or setup.design_size is not None:
         return "wild_bootstrap"
     return "permutation"
 
 
-def validate_setup(setup: TestSetup) -> None:
-    """Reject incoherent flag combinations before any computation."""
-    if setup.framework not in ("mmd", "hsic", "ksd"):
-        raise ConfigError(f"unknown framework {setup.framework!r}")
-    if not (0.0 < setup.alpha < 1.0):
-        raise ConfigError("alpha must lie in (0, 1)")
-    if setup.replicates < 1:
-        raise ConfigError("replicates must be at least 1")
-    if setup.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if setup.adapt not in ADAPT_CHOICES:
-        raise ConfigError(f"unknown adaptivity mode {setup.adapt!r}")
-    mode, grid_size = _parse_bandwidth(setup.bandwidth)
-    method = resolve_method(setup)
-    if method not in ("permutation", "wild_bootstrap"):
-        raise ConfigError(f"unknown method {setup.method!r}")
-    constrained = setup.dp_epsilon is not None or setup.robust_r is not None
+def _kernel_template(setup: TestSetup, bandwidth: float) -> KernelSpec:
+    # the IMQ exponent is checked whatever the family, as the flag always is
+    imq = KernelSpec("imq", bandwidth, imq_exponent=setup.imq_exponent)
+    return imq if setup.kernel_family == "imq" else KernelSpec(setup.kernel_family, bandwidth)
 
-    if setup.framework == "ksd":
-        if method == "permutation":
-            raise ConfigError("goodness-of-fit testing has no permutation method; use --method wild")
+
+def validate_setup(setup: TestSetup) -> CheckedSetup:
+    """Reject incoherent flags before any computation; return what they configure.
+
+    Range rules live in the objects built here (ReplicateSpec, KernelSpec,
+    PoolConfig, PrivacyParams, RobustParams), whose ValueError is reported
+    as a ConfigError; the checks below are the rules between flags.
+    """
+    with reported_as(ConfigError):
+        if setup.framework not in FRAMEWORKS:
+            raise ConfigError(f"unknown framework {setup.framework!r}")
+        if not (0.0 < setup.alpha < 1.0):
+            raise ConfigError("alpha must lie in (0, 1)")
+        method = resolve_method(setup)
+        rep = ReplicateSpec(count=setup.replicates, method=method, seed=setup.seed)
+        if setup.adapt not in ADAPT_CHOICES:
+            raise ConfigError(f"unknown adaptivity mode {setup.adapt!r}")
+        mode, value = _parse_bandwidth(setup.bandwidth)
+        constrained = setup.dp_epsilon is not None or setup.robust_r is not None
+
+        if setup.framework == "ksd":
+            if method == "permutation":
+                raise ConfigError("goodness-of-fit testing has no permutation method; use --method wild")
+            if constrained:
+                raise ConfigError("private/robust testing is not available for the KSD framework")
+        if setup.blocks is not None and setup.design_size is not None:
+            raise ConfigError("--blocks and --design-size are mutually exclusive")
+        if (setup.blocks is not None or setup.design_size is not None) and method != "wild_bootstrap":
+            raise ConfigError("block/incomplete statistics require --method wild")
+        if setup.blocks is not None and setup.blocks < 1:
+            raise ConfigError("--blocks must be at least 1")
+        if setup.design_size is not None and setup.design_size < 1:
+            raise ConfigError("--design-size must be at least 1")
         if constrained:
-            raise ConfigError("private/robust testing is not available for the KSD framework")
-    if setup.blocks is not None and setup.design_size is not None:
-        raise ConfigError("--blocks and --design-size are mutually exclusive")
-    if (setup.blocks is not None or setup.design_size is not None) and method != "wild_bootstrap":
-        raise ConfigError("block/incomplete statistics require --method wild")
-    if setup.blocks is not None and setup.blocks < 1:
-        raise ConfigError("--blocks must be at least 1")
-    if setup.design_size is not None and setup.design_size < 1:
-        raise ConfigError("--design-size must be at least 1")
-    if constrained:
-        if method != "permutation":
-            raise ConfigError("private/robust tests are permutation-based; drop --method wild")
-        if setup.adapt == "agg":
-            raise ConfigError("aggregation under privacy/robustness constraints is not supported")
-        if setup.normalized:
-            raise ConfigError("normalised pooling is not supported under privacy/robustness constraints")
-        if setup.blocks is not None or setup.design_size is not None:
-            raise ConfigError("block/incomplete statistics are not supported under constraints")
-    if setup.dp_epsilon is not None and not setup.dp_epsilon > 0:
-        raise ConfigError("--dp-epsilon must be positive (inf allowed)")
-    if not (0.0 <= setup.dp_delta < 1.0):
-        raise ConfigError("--dp-delta must lie in [0, 1)")
-    if setup.dp_delta > 0.0 and setup.dp_epsilon is None:
-        raise ConfigError("--dp-delta requires --dp-epsilon")
-    if setup.robust_r is not None and setup.robust_r < 0:
-        raise ConfigError("--robust-r must be nonnegative")
-    if setup.adapt == "none":
-        if mode == "grid":
+            if method != "permutation":
+                raise ConfigError("private/robust tests are permutation-based; drop --method wild")
+            if setup.adapt == "agg":
+                raise ConfigError("aggregation under privacy/robustness constraints is not supported")
+            if setup.normalized:
+                raise ConfigError("normalised pooling is not supported under privacy/robustness constraints")
+            if setup.blocks is not None or setup.design_size is not None:
+                raise ConfigError("block/incomplete statistics are not supported under constraints")
+        privacy = PrivacyParams(setup.dp_epsilon, setup.dp_delta) if setup.dp_epsilon is not None else None
+        if setup.dp_delta != 0.0 and privacy is None:
+            raise ConfigError("--dp-delta requires --dp-epsilon")
+        robust = RobustParams(setup.robust_r) if setup.robust_r is not None else None
+        if mode == "grid" and setup.adapt == "none":
             raise ConfigError("a bandwidth grid needs an adaptive mode (--adapt agg or pool:*)")
-        if setup.nu is not None:
+        if setup.adapt == "agg":
+            count = value if mode == "grid" else 1
+            if setup.framework == "hsic":
+                count *= count  # one kernel pair per (x, y) grid point
+            if not bonferroni_feasible(setup.replicates, setup.alpha, count):
+                raise ConfigError(
+                    f"--adapt agg needs (replicates+1) * alpha / |K| >= 1: got {setup.replicates} "
+                    f"replicates for alpha={setup.alpha}, |K|={count}"
+                )
+        if setup.nu is not None and setup.adapt != "pool:fuse":
             raise ConfigError("--nu only applies to fuse pooling")
-        if setup.normalized:
+        if setup.normalized and not setup.adapt.startswith("pool:"):
             raise ConfigError("--normalized only applies to pooled tests")
-    elif setup.adapt == "agg":
-        count = grid_size if mode == "grid" else 1
-        if setup.framework == "hsic":
-            count *= count  # one kernel pair per (x, y) grid point
-        if not bonferroni_feasible(setup.replicates, setup.alpha, count):
-            raise ConfigError(
-                f"--adapt agg needs (replicates+1) * alpha / |K| >= 1: got {setup.replicates} "
-                f"replicates for alpha={setup.alpha}, |K|={count}"
-            )
-        if setup.nu is not None:
-            raise ConfigError("--nu only applies to fuse pooling")
-        if setup.normalized:
-            raise ConfigError("--normalized only applies to pooled tests")
-    elif setup.adapt in ("pool:mean", "pool:max") and setup.nu is not None:
-        raise ConfigError("--nu only applies to fuse pooling")
-    if not (0.5 < setup.imq_exponent < 1.0):
-        raise ConfigError("imq exponent must lie strictly in (1/2, 1)")
+        pool = None
+        if setup.adapt.startswith("pool:"):
+            pool = PoolConfig(method=setup.adapt.split(":", 1)[1], nu=setup.nu, normalized=setup.normalized)
+        kernel = _kernel_template(setup, value if mode == "fixed" else 1.0)
+    return CheckedSetup(rep, kernel, (mode, value), pool, privacy, robust)
 
 
-def _make_spec(setup: TestSetup, bandwidth: float) -> KernelSpec:
-    if setup.kernel_family == "imq":
-        return KernelSpec("imq", bandwidth, imq_exponent=setup.imq_exponent)
-    return KernelSpec(setup.kernel_family, bandwidth)
-
-
-def _resolve_kernels(setup: TestSetup, data) -> KernelCollection:
+def _resolve_kernels(setup: TestSetup, checked: CheckedSetup, data) -> KernelCollection:
     """Turn the bandwidth request into a kernel collection: one spec (or
     HSIC pair) for a fixed or median bandwidth, one per grid point otherwise."""
-    mode, value = _parse_bandwidth(setup.bandwidth)
+    mode, value = checked.bandwidth
 
-    def bandwidths(points):
+    def specs(points):
         if mode == "fixed":
-            return (value,)
+            return (checked.kernel,)
         if mode == "median":
-            return (median_heuristic(points),)
-        return bandwidth_grid(points, value)
+            bandwidths = (median_heuristic(points),)
+        else:
+            bandwidths = bandwidth_grid(points, value)
+        return tuple(dataclasses.replace(checked.kernel, bandwidth=b) for b in bandwidths)
 
     if setup.framework == "hsic":
-        grid_x = bandwidths(data.x_part)
-        grid_y = bandwidths(data.y_part)
-        return KernelCollection(
-            tuple((_make_spec(setup, bx), _make_spec(setup, by)) for bx in grid_x for by in grid_y)
-        )
+        x_specs, y_specs = specs(data.x_part), specs(data.y_part)
+        return KernelCollection(tuple((kx, ky) for kx in x_specs for ky in y_specs))
     points = np.vstack([data.x, data.y]) if isinstance(data, TwoSampleData) else data.x
-    return KernelCollection(tuple(_make_spec(setup, b) for b in bandwidths(points)))
+    return KernelCollection(specs(points))
 
 
 def execute(setup: TestSetup, data) -> TestResult:
-    """Run the configured test on a loaded dataset."""
-    validate_setup(setup)
-    method = resolve_method(setup)
-    rep = ReplicateSpec(count=setup.replicates, method=method, seed=setup.seed)
-    collection = _resolve_kernels(setup, data)
-    privacy = None
-    if setup.dp_epsilon is not None:
-        privacy = PrivacyParams(setup.dp_epsilon, setup.dp_delta)
-    robust = RobustParams(setup.robust_r) if setup.robust_r is not None else None
+    """Run the configured test on a loaded dataset.
 
-    if privacy is not None or robust is not None:
-        pool_config = None
-        kernels = collection.kernels[0]
-        if setup.adapt.startswith("pool:"):
-            pool_config = PoolConfig(method=setup.adapt.split(":", 1)[1], nu=setup.nu)
-            kernels = collection
-        if privacy is not None:
-            return dp_test(data, kernels, setup.alpha, privacy, rep, pool_config=pool_config, robust=robust)
-        return robust_test(data, kernels, setup.alpha, robust, rep, pool_config=pool_config)
+    The setup is validated first (ConfigError).  A ValueError of the
+    library after that is a mismatch between the setup and the data, such
+    as a wild-bootstrap MMD with m != n, and is raised as a DataError.
+    """
+    checked = validate_setup(setup)
+    rep, pool = checked.rep, checked.pool
+    with reported_as(DataError):
+        collection = _resolve_kernels(setup, checked, data)
+        if checked.privacy is not None or checked.robust is not None:
+            kernels = collection if pool is not None else collection.kernels[0]
+            if checked.privacy is not None:
+                return dp_test(
+                    data, kernels, setup.alpha, checked.privacy, rep, pool_config=pool, robust=checked.robust
+                )
+            return robust_test(data, kernels, setup.alpha, checked.robust, rep, pool_config=pool)
 
-    if setup.adapt == "agg":
-        return aggregated_test(
-            data, collection, rep, setup.alpha, blocks=setup.blocks, design_size=setup.design_size
-        )
-    if setup.adapt.startswith("pool:"):
-        config = PoolConfig(
-            method=setup.adapt.split(":", 1)[1], nu=setup.nu, normalized=setup.normalized
-        )
-        return pooled_test(
-            data, collection, config, rep, setup.alpha,
-            blocks=setup.blocks, design_size=setup.design_size,
-        )
+        if setup.adapt == "agg":
+            return aggregated_test(
+                data, collection, rep, setup.alpha, blocks=setup.blocks, design_size=setup.design_size
+            )
+        if pool is not None:
+            return pooled_test(
+                data, collection, pool, rep, setup.alpha, blocks=setup.blocks, design_size=setup.design_size
+            )
 
-    entry = collection.kernels[0]
-    if isinstance(data, TwoSampleData):
-        return two_sample_test(
-            data, None, entry, alpha=setup.alpha, replicates=setup.replicates,
-            method=method, seed=setup.seed, blocks=setup.blocks, design_size=setup.design_size,
+        entry = collection.kernels[0]
+        if isinstance(data, TwoSampleData):
+            return two_sample_test(
+                data, None, entry, alpha=setup.alpha, replicates=rep.count,
+                method=rep.method, seed=rep.seed, blocks=setup.blocks, design_size=setup.design_size,
+            )
+        if isinstance(data, PairedData):
+            kx, ky = entry
+            return independence_test(
+                data, kx, ky, alpha=setup.alpha, replicates=rep.count,
+                method=rep.method, seed=rep.seed, blocks=setup.blocks, design_size=setup.design_size,
+            )
+        assert isinstance(data, ModelSampleData)
+        return goodness_of_fit_test(
+            data, None, entry, alpha=setup.alpha, replicates=rep.count,
+            seed=rep.seed, blocks=setup.blocks, design_size=setup.design_size,
         )
-    if isinstance(data, PairedData):
-        kx, ky = entry
-        return independence_test(
-            data, kx, ky, alpha=setup.alpha, replicates=setup.replicates,
-            method=method, seed=setup.seed, blocks=setup.blocks, design_size=setup.design_size,
-        )
-    assert isinstance(data, ModelSampleData)
-    return goodness_of_fit_test(
-        data, None, entry, alpha=setup.alpha, replicates=setup.replicates,
-        seed=setup.seed, blocks=setup.blocks, design_size=setup.design_size,
-    )

@@ -37,9 +37,9 @@ about ``2^6 (d + 2)`` units in the last place.  In one or two dimensions,
 where it is also faster, ``t_i^2`` is accumulated over the dimensions
 instead, as Laplace grams accumulate ``|t_i|``.  A gram or Stein matrix
 of a sample with itself is exactly symmetric, with diagonal exactly
-``kernel_bound`` for a gram.  The Laplace Stein matrix and the
-derivative matrices work on coordinate differences, and
-``stein_kernel`` is their scalar oracle.
+``kernel_bound`` for a gram.  Laplace Stein matrices accumulate over the
+dimensions in (n, n) buffers, as Laplace grams do; only the derivative
+matrices, behind the scalar oracle ``stein_kernel``, form (m, n, d) tensors.
 """
 
 from __future__ import annotations
@@ -145,8 +145,14 @@ def kernel_bound(spec: KernelSpec, dim: int) -> float:
     return _norm_const(spec, dim)
 
 
-def _scaled_diff(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return (A[:, None, :] - B[None, :, :]) / lam
+def _difference_form(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, float]:
+    """(U, lam, c): scaled differences U[i, j] = (A_i - B_j) / lam, shape (m, n, d),
+    the bandwidths and the normalisation constant."""
+    A, B = _as_points(A), _as_points(B)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    lam = spec.bandwidth_vector(A.shape[1])
+    return (A[:, None, :] - B[None, :, :]) / lam, lam, _norm_const(spec, A.shape[1])
 
 
 # Squared distances below this share of |a|^2 + |b|^2 are recomputed from
@@ -275,13 +281,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
 def grad1_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Gradients of k with respect to the first argument, shape (m, n, d)."""
-    A, B = _as_points(A), _as_points(B)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    dim = A.shape[1]
-    lam = spec.bandwidth_vector(dim)
-    c = _norm_const(spec, dim)
-    U = _scaled_diff(A, B, lam)
+    U, lam, c = _difference_form(spec, A, B)
     if spec.family == "gaussian":
         K = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
         return -(U / lam) * (c * K)[:, :, None]
@@ -300,13 +300,7 @@ def grad2_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 
 def cross_derivative_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """sum_i d^2 k / dx_i dy_i, shape (m, n)."""
-    A, B = _as_points(A), _as_points(B)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    dim = A.shape[1]
-    lam = spec.bandwidth_vector(dim)
-    c = _norm_const(spec, dim)
-    U = _scaled_diff(A, B, lam)
+    U, lam, c = _difference_form(spec, A, B)
     inv2 = 1.0 / lam**2
     if spec.family == "gaussian":
         K = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
@@ -428,6 +422,28 @@ def _smooth_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.n
     return E
 
 
+def _laplace_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Laplace Stein matrix up to symmetrisation, from (n, n) buffers: with
+    t = (x_i - x_j) / lam, entry (i, j) is k(x_i, x_j) (s_i . s_j
+    + sum_d sign(t_d) (s_id - s_jd) / lam_d - sum_d sign(t_d)^2 / lam_d^2)."""
+    lam = spec.bandwidth_vector(X.shape[1])
+    T = S / lam
+    H = S @ S.T
+    U, sign = np.empty_like(H), np.empty_like(H)
+    for d in range(X.shape[1]):
+        np.subtract.outer(X[:, d], X[:, d], out=sign)
+        np.sign(sign, out=sign)
+        np.subtract.outer(T[:, d], T[:, d], out=U)
+        U *= sign
+        H += U
+        np.abs(sign, out=sign)
+        sign /= lam[d] ** 2
+        H -= sign
+    del U, sign
+    H *= gram_matrix(spec, X, X)
+    return H
+
+
 def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     """Matrix of Stein kernel values over one sample, exactly symmetric."""
     X = _as_points(points)
@@ -435,11 +451,7 @@ def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     if S.shape != X.shape:
         raise ValueError(f"scores shape {S.shape} does not match points {X.shape}")
     if spec.family == "laplace":
-        H = gram_matrix(spec, X, X) * (S @ S.T)
-        G1 = grad1_matrix(spec, X, X)
-        H += np.einsum("ijd,jd->ij", G1, S)
-        H -= np.einsum("ijd,id->ij", G1, S)
-        H += cross_derivative_matrix(spec, X, X)
+        H = _laplace_stein_matrix(spec, X, S)
     else:
         H = _smooth_stein_matrix(spec, X, S)
     _symmetrise(H)

@@ -255,6 +255,14 @@ def _pair_split_mmd_core(spec: KernelSpec, first: np.ndarray, second: np.ndarray
     return kaa - cross + kbb
 
 
+def core_bound(entry, data: TwoSampleData | PairedData) -> float:
+    """K_h of the MMD core (4 K), or of an HSIC core (16 K_x K_y) for a (kx, ky) entry."""
+    if isinstance(data, PairedData):
+        kx, ky = entry
+        return 16.0 * kernels.kernel_bound(kx, data.split) * kernels.kernel_bound(ky, data.z.shape[1] - data.split)
+    return 4.0 * kernels.kernel_bound(entry, data.x.shape[1])
+
+
 def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> CoreMatrix:
     """One-sample second-order MMD core for paired two-sample data (m = n).
 
@@ -267,8 +275,7 @@ def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> CoreMatrix:
             "on the merged sample for unequal sample sizes"
         )
     h = _pair_split_mmd_core(spec, data.x, data.y)
-    bound = 4.0 * kernels.kernel_bound(spec, data.x.shape[1])
-    return CoreMatrix(h=h, kernel_bound=bound, framework="mmd")
+    return CoreMatrix(h=h, kernel_bound=core_bound(spec, data), framework="mmd")
 
 
 def _double_center(g: np.ndarray) -> np.ndarray:
@@ -285,7 +292,7 @@ def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> HsicCo
     """
     kc = _double_center(kernels.gram_matrix(kx, data.x_part, data.x_part))
     lc = _double_center(kernels.gram_matrix(ky, data.y_part, data.y_part))
-    bound = 16.0 * kernels.kernel_bound(kx, data.split) * kernels.kernel_bound(ky, data.z.shape[1] - data.split)
+    bound = core_bound((kx, ky), data)
     return HsicCoreMatrix(h=kc * lc, kernel_bound=bound, framework="hsic", k_centered=kc, l_centered=lc)
 
 
@@ -304,8 +311,7 @@ def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> C
     x, y = data.x_part, data.y_part
     hx = _pair_split_mmd_core(kx, x[:n], x[n:])
     hy = _pair_split_mmd_core(ky, y[:n], y[n:])
-    bound = 16.0 * kernels.kernel_bound(kx, data.split) * kernels.kernel_bound(ky, data.z.shape[1] - data.split)
-    return CoreMatrix(h=hx * hy, kernel_bound=bound, framework="hsic")
+    return CoreMatrix(h=hx * hy, kernel_bound=core_bound((kx, ky), data), framework="hsic")
 
 
 def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:

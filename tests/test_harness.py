@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kerntest.errors import ConfigError, DataError
+from kerntest.harness import experiments, run
 from kerntest.harness.cli import main
 from kerntest.harness.config import ExperimentConfig, parse_config_file
 from kerntest.harness.experiments import report_json, run_experiment
@@ -76,6 +77,8 @@ def test_score_specs(tmp_path):
     assert data.score_bound == pytest.approx(6.0 / (2 * math.sqrt(5.0)))
     with pytest.raises(DataError):
         load_dataset("model_csv_with_scores", sample=sample, score="cauchy")
+    with pytest.raises(DataError, match="degrees of freedom"):
+        load_dataset("model_csv_with_scores", sample=sample, score="student-t:-1")
 
 
 # --- generators -----------------------------------------------------------------
@@ -191,6 +194,37 @@ def test_cli_usage_errors_before_computation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--replicates", "0"],
+        ["--seed", "-1"],
+        ["--adapt", "pool:fuse", "--bandwidth", "grid:3", "--nu", "-1"],
+        ["--dp-epsilon", "0"],
+        ["--dp-epsilon", "1", "--dp-delta", "1.5"],
+        ["--robust-r", "-1"],
+        ["--imq-exponent", "2"],  # checked whatever the kernel family
+        ["--kernel", "imq", "--imq-exponent", "0.5"],
+        ["--bandwidth", "-1"],
+        ["--bandwidth", "inf"],
+        ["--bandwidth", "wide"],
+    ],
+)
+def test_cli_range_errors_exit_two_before_data(tmp_path, capsys, flags):
+    missing = str(tmp_path / "nope.csv")
+    assert main(["test", "two-sample", "--x", missing, "--y", missing, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "not found" not in captured.err
+
+
+def test_execute_reports_setup_data_mismatch_as_data_error():
+    # the setup is valid; wild-bootstrap MMD pairs the samples, so m != n is a data error
+    rng = np.random.default_rng(4)
+    data = TwoSampleData(rng.normal(size=(8, 1)), rng.normal(size=(9, 1)))
+    with pytest.raises(DataError, match="m == n"):
+        run.execute(run.TestSetup(framework="mmd", method="wild", replicates=19), data)
+
+
 def test_cli_seed_and_aggregation_level_checked_before_data(tmp_path, capsys):
     # a negative seed and an infeasible Bonferroni level (B+1) alpha / |K| < 1 exit 2
     # even when the data files do not exist
@@ -276,6 +310,34 @@ def test_parse_config_file(tmp_path):
     assert config.sample_sizes == (8, 12)
     assert config.experiment == "calibrate"
     assert config.method == "wild"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["kernel = banana"],
+        ["framework = hsic", "rho = 1.5"],
+        ["generator = gaussian_scale", "scale = -1"],
+        ["framework = ksd", "generator = student_t_model_sample", "df = -2"],
+        ["dimension = 0"],
+        ["experiment = constraint_sweep", "r_values = 0, -1"],
+        ["method = wild", "blocks = 2, 0"],
+        ["experiment = constraint_sweep", "xi_values = 1, -2"],
+        ["adapt = pool:fuse", "bandwidth = grid:3", "nu = -1"],
+        ["framework = hsic", "generator = gaussian_mean_shift"],
+        ["framework = ksd", "generator = correlated_gaussian_pairs"],
+    ],
+)
+def test_experiment_config_errors_exit_two_before_any_draw(tmp_path, capsys, monkeypatch, lines):
+    draws = []
+    monkeypatch.setattr(experiments, "builtin_generator", lambda *args: draws.append(args))
+    keys = {line.split(" = ")[0] for line in lines}
+    base = [f"{k} = {v}" for k, v in (("experiment", "calibrate"), ("framework", "mmd")) if k not in keys]
+    cfg = _write(tmp_path / "bad.cfg", "\n".join(base + lines + ["sample_sizes = 8, 12", "trials = 2",
+                                                                 "replicates = 19"]) + "\n")
+    assert main(["experiment", "run", "--config", cfg]) == 2
+    assert draws == []
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):

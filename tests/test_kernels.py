@@ -205,6 +205,19 @@ def test_gram_exact_at_identical_points():
         assert np.array_equal(gram_matrix(spec, pts, pts.copy()), g)
 
 
+def test_large_laplace_stein_matrix_memory():
+    # the difference form holds (n, n, d) gradients, 400 MiB at 1024 x 50
+    pts = np.random.default_rng(46).normal(size=(1024, 50))
+    tracemalloc.start()
+    try:
+        h = stein_matrix(laplace_kernel(7.0), pts, -pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    assert np.array_equal(h, h.T)
+
+
 def test_large_gram_and_bandwidth_memory():
     # the (m, n, d) difference tensor of 1024 x 50 points alone takes 400 MiB
     pts = np.random.default_rng(45).normal(size=(1024, 50))

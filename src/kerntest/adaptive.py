@@ -9,12 +9,15 @@ Aggregation runs one test per kernel at a data-calibrated adjusted level
 u* in [alpha/|K|, alpha]: the largest u for which the Monte-Carlo
 probability (over the same replicate set that supplies the per-kernel
 quantiles) that any kernel exceeds its u-level quantile stays at most
-alpha.  Thresholds enter only through integer quantile counts, so each
-test ranks its replicates and originals once against the sorted pools
-(`_RankTable`), and the bisections for u* and for the p-value read
-feasibility and decisions from that table instead of re-gathering
-thresholds.  Since u* never drops below the Bonferroni level alpha/|K|,
-every Bonferroni rejection is an aggregated rejection.
+alpha.  Thresholds enter only through integer quantile counts, which
+change only at finitely many breakpoint levels, so each test ranks its
+replicates and originals once against the sorted pools (`_RankTable`)
+and reads u* exactly as the largest feasible candidate level, and the
+p-value in closed form as min(|K| e_o, max(e_o, H(e_o)/B), 1), where e_o
+is the level at which the original first exceeds and H(e) counts the
+replicates exceeding by level e.  Since u* never drops below the
+Bonferroni level alpha/|K|, every Bonferroni rejection is an aggregated
+rejection.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ import warnings
 import numpy as np
 
 from .engines import collection_replicates, framework_of
-from .resampling import ReplicateSpec, TestResult, _alpha_count, test_decision
+from .resampling import _INDEX_EPS, ReplicateSpec, TestResult, test_decision
 from .statistics import TwoSampleData
 from .testing import _collection_descriptions, resolve_design
 
 POOL_METHODS = ("mean", "max", "fuse")
-
-# halvings of [alpha/|K|, alpha] in the search for the adjusted level u*
-_BISECTION_ITERS = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,36 +237,32 @@ class AggregatedTestResult(TestResult):
         return out
 
 
-def _quantile_count(level: float, pool_size: int) -> int:
+def _quantile_count(level, pool_size: int):
     """Pool values above the (1 - level)-quantile, capped at pool_size - 1.
 
-    The cap makes a level whose count reaches the pool size (possible with
+    Elementwise `_alpha_count` for a level or an array of levels.  The cap
+    makes a level whose count reaches the pool size (possible with
     non-uniform weights, where u * w_k * |K| can exceed one) read the pool
     minimum.
     """
-    return min(_alpha_count(level, pool_size), pool_size - 1)
+    return np.minimum(np.floor(np.multiply(level, pool_size) + _INDEX_EPS), pool_size - 1).astype(int)
 
 
 def _adjusted_thresholds(sorted_pools: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per-kernel (1 - level)-quantiles of the pools {original} u replicates."""
     m = sorted_pools.shape[1]
-    idx = np.array([m - 1 - _quantile_count(level, m) for level in levels])
-    return sorted_pools[np.arange(sorted_pools.shape[0]), idx]
+    return sorted_pools[np.arange(sorted_pools.shape[0]), m - 1 - _quantile_count(levels, m)]
 
 
 class _RankTable:
-    """Integer exceedance counts of one test's pools, built once for both searches.
+    """Integer exceedance ranks of one test's pools, read by the exact search.
 
     For a kernel's sorted pool s of B + 1 values and a count
     c = _quantile_count(level, B + 1) <= B, a value v exceeds the
-    threshold s[B - c] exactly when c >= a(v) = (B + 1) - #{s < v}.  The
-    table holds a(v) for every replicate and every original.  Kernels with
-    equal weights get equal counts at every u, so each weight group keeps
-    only its smallest a per replicate (one group for uniform weights), and
-    feasibility at u becomes a lookup of the exceedance count for the
-    tuple of group counts.  The counts come from the same float arithmetic
-    as `_adjusted_thresholds`, so every decision matches the threshold
-    comparison exactly.
+    threshold s[B - c] exactly when c >= a(v) = (B + 1) - #{s < v}, the
+    rank of v from the top.  Kernels with equal weights get equal counts
+    at every u, so each weight group keeps only its smallest a per
+    replicate and for the original (one group for uniform weights).
     """
 
     def __init__(self, originals: np.ndarray, replicates: np.ndarray, weights: np.ndarray):
@@ -274,59 +270,50 @@ class _RankTable:
         self.n_rep = replicates.shape[1]
         pools = np.column_stack([replicates, originals])
         self.sorted_pools = np.sort(pools, axis=1)
-        by_kernel = self.n_rep + 1 - np.array(
+        ranks = self.n_rep + 1 - np.array(
             [np.searchsorted(s, v, side="left") for s, v in zip(self.sorted_pools, pools)]
         )
-        group_weights, group = np.unique(weights, return_inverse=True)
-        self.group_weights = tuple(float(w) for w in group_weights)
-        first = np.array([by_kernel[group == g].min(axis=0) for g in range(len(self.group_weights))])
-        self.replicate_first = first[:, : self.n_rep]
-        self.original_first = tuple(int(a) for a in first[:, self.n_rep])
-        self._exceedances: dict[tuple[int, ...], int] = {}
+        self.original_ranks = ranks[:, self.n_rep]
+        self.group_weights, group = np.unique(weights, return_inverse=True)
+        self.first = np.array([ranks[group == g].min(axis=0) for g in range(self.group_weights.size)])
 
-    def counts(self, u: float) -> tuple[int, ...]:
-        """Quantile count of each weight group at adjusted level u."""
-        return tuple(_quantile_count(u * w * self.count, self.n_rep + 1) for w in self.group_weights)
+    def search(self, alpha: float) -> tuple[float, bool, float]:
+        """The adjusted level u*, the decision and the p-value at level alpha.
 
-    def feasible(self, u: float, alpha: float) -> bool:
-        """Whether at most an alpha share of replicates exceeds some u-level threshold."""
-        counts = self.counts(u)
-        hits = self._exceedances.get(counts)
-        if hits is None:
-            exceeds = self.replicate_first <= np.array(counts)[:, None]
-            hits = self._exceedances[counts] = int(np.count_nonzero(exceeds.any(axis=0)))
-        return hits / self.n_rep <= alpha
+        Group g's count changes only at the breakpoints a / (w_g |K| (B+1)),
+        so these, alpha/|K| and alpha are the candidate levels, and the
+        counts are evaluated at each candidate with `_quantile_count`.  A
+        replicate or the original enters (exceeds its threshold) at the
+        first candidate where some group count reaches its rank, so H, the
+        number of replicates in by a candidate, is a cumulative count.  u*
+        is the largest candidate in [alpha/|K|, alpha] with H/B <= alpha
+        (a prefix, as H only grows), or alpha/|K| when there is none, and
+        the test rejects iff the original enters at or below u*.
 
-    def rejects(self, u: float) -> bool:
-        """Whether some original statistic exceeds its u-level threshold."""
-        return any(c >= a for c, a in zip(self.counts(u), self.original_first))
-
-    def adjusted_level(self, alpha: float, iters: int) -> float:
-        """Largest u in [alpha/|K|, alpha] keeping the any-kernel exceedance
-        probability at most alpha, by bisection; clamped below at the
-        Bonferroni level."""
-        lo, hi = alpha / self.count, alpha
-        if self.count == 1 or self.feasible(hi, alpha):
-            return hi
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self.feasible(mid, alpha):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def _adjusted_level(
-    originals: np.ndarray,
-    replicates: np.ndarray,
-    alpha: float,
-    weights: np.ndarray,
-    iters: int,
-) -> float:
-    """Largest u in [alpha/|K|, alpha] keeping the any-kernel exceedance
-    probability at most alpha; clamped below at the Bonferroni level."""
-    return _RankTable(originals, replicates, weights).adjusted_level(alpha, iters)
+        A level l rejects iff l/|K| reaches the original's entry level e_o,
+        or e_o <= l and H(e_o)/B <= l, so the p-value, the smallest
+        rejecting level, is min(|K| e_o, max(e_o, H(e_o)/B), 1).  The first
+        term never binds: at most sum_k c_k <= |K| e_o (B+1) pool values
+        exceed at e_o and the original is one of them, so
+        H(e_o)/B <= (|K| e_o (B+1) - 1)/B <= |K| e_o while |K| e_o <= 1.
+        It is left out because a rounded |K| e_o can sit one ulp above
+        alpha when e_o = alpha/|K|; without it, p <= alpha exactly when the
+        test rejects.
+        """
+        w = self.group_weights[:, None]
+        m = self.n_rep + 1
+        bounds = (alpha / self.count, alpha)
+        levels = np.unique(np.append(np.arange(1, m) / (w * self.count * m), bounds))
+        counts = _quantile_count(levels * w * self.count, m)
+        entry = np.min([np.searchsorted(c, a) for c, a in zip(counts, self.first)], axis=0)
+        hits = np.cumsum(np.bincount(entry[: self.n_rep], minlength=levels.size + 1))
+        lo, hi = np.searchsorted(levels, bounds)
+        feasible = np.count_nonzero(hits[: levels.size] / self.n_rep <= alpha)
+        star = min(max(feasible - 1, lo), hi)
+        entry_o = entry[self.n_rep]
+        e_o = float(levels[entry_o]) if entry_o < levels.size else math.inf  # inf: exceeds at no level
+        p_value = min(max(e_o, hits[entry_o] / self.n_rep), 1.0)
+        return float(levels[star]), bool(entry_o <= star), float(p_value)
 
 
 def bonferroni_feasible(replicates: int, alpha: float, count: int) -> bool:
@@ -347,13 +334,16 @@ def aggregated_test(
     """Multiple test over the collection at the adjusted level u*.
 
     Rejects when any kernel's original statistic exceeds its u*-level
-    quantile.  The reported p-value is the smallest level at which the
-    aggregated test would reject, found by bisection over levels; it is
-    at most alpha exactly when the test rejects.  Both searches read
-    feasibility and decisions from a rank table built once per test, and
-    the thresholds are gathered once, at u*.  With ``blocks`` or
-    ``design_size`` (wild bootstrap only) each kernel's statistic is its
-    block or incomplete design mean, as for the single-kernel test.
+    quantile; u* is the largest feasible candidate level (a breakpoint of
+    the quantile counts, alpha/|K| or alpha).  The reported p-value is the
+    smallest level at which the aggregated test would reject,
+    min(|K| e_o, max(e_o, H(e_o)/B), 1) for the original's entry level e_o
+    and the number H(e_o) of replicates exceeding by then; it is at most
+    alpha exactly when the test rejects.  Both come from a rank table
+    built once per test, and the thresholds are gathered once, at u*.
+    With ``blocks`` or ``design_size`` (wild bootstrap only) each kernel's
+    statistic is its block or incomplete design mean, as for the
+    single-kernel test.
     """
     framework = framework_of(data)
     count = collection.size
@@ -381,39 +371,25 @@ def _aggregate_decide(
     weights = collection.weight_vector()
     n_rep = replicates.shape[1]
     table = _RankTable(originals, replicates, weights)
-
-    def decide(level: float) -> tuple[bool, float]:
-        u = table.adjusted_level(level, _BISECTION_ITERS)
-        return table.rejects(u), u
-
-    reject, u_star = decide(alpha)
-    lo, hi = (0.0, alpha) if reject else (alpha, 1.0)
-    for _ in range(16):
-        mid = 0.5 * (lo + hi)
-        if decide(mid)[0]:
-            hi = mid
-        else:
-            lo = mid
-    p_value = hi if (reject or hi < 1.0) else 1.0
+    u_star, reject, p_value = table.search(alpha)
     thresholds = _adjusted_thresholds(table.sorted_pools, u_star * weights * count)
     margins = originals - thresholds
-    per_kernel = []
-    for k, entry in enumerate(collection.kernels):
-        ge = 1 + int(np.count_nonzero(replicates[k] >= originals[k]))
-        per_kernel.append(
-            KernelOutcome(
-                kernels=_collection_descriptions(framework, [entry]),
-                statistic=float(originals[k]),
-                threshold=float(thresholds[k]),
-                p_value=ge / (n_rep + 1),
-                reject=bool(originals[k] > thresholds[k]),
-            )
+    kernel_p_values = table.original_ranks / (n_rep + 1)
+    per_kernel = tuple(
+        KernelOutcome(
+            kernels=_collection_descriptions(framework, [entry]),
+            statistic=float(originals[k]),
+            threshold=float(thresholds[k]),
+            p_value=float(kernel_p_values[k]),
+            reject=bool(originals[k] > thresholds[k]),
         )
+        for k, entry in enumerate(collection.kernels)
+    )
     return AggregatedTestResult(
         framework=framework,
         statistic=float(margins.max()),
         threshold=0.0,
-        p_value=float(p_value),
+        p_value=p_value,
         reject=reject,
         alpha=alpha,
         replicates=n_rep,
@@ -421,7 +397,7 @@ def _aggregate_decide(
         seed=rep.seed,
         kernels=_collection_descriptions(framework, collection.kernels),
         constraint=None,
-        adjusted_level=float(u_star),
-        per_kernel=tuple(per_kernel),
+        adjusted_level=u_star,
+        per_kernel=per_kernel,
     )
 

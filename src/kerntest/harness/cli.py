@@ -51,6 +51,14 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default="-")
 
 
+def positive_int(text: str) -> int:
+    """An integer flag that no data can make valid below one (``--split``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kerntest", description="Kernel hypothesis tests")
     top = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ind = kinds.add_parser("independence", help="HSIC independence test")
     ind.add_argument("--paired", required=True, help="CSV of paired rows [X | Y]")
-    ind.add_argument("--split", type=int, required=True, help="number of X columns")
+    ind.add_argument("--split", type=positive_int, required=True, help="number of X columns")
     _add_test_flags(ind)
 
     gof = kinds.add_parser("gof", help="KSD goodness-of-fit test")

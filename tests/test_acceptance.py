@@ -14,7 +14,7 @@ import pytest
 from kerntest.adaptive import (
     KernelCollection,
     PoolConfig,
-    _adjusted_level,
+    _RankTable,
     _adjusted_thresholds,
     aggregated_test,
     pool,
@@ -279,7 +279,7 @@ def test_criterion_06_aggregation():
         rejections = 0
         for t in range(720):
             originals = stats[:, t]
-            u = _adjusted_level(originals, stats, alpha, weights, 20)
+            u, _, _ = _RankTable(originals, stats, weights).search(alpha)
             pools = np.sort(np.column_stack([stats, originals]), axis=1)
             thr = _adjusted_thresholds(pools, u * weights * 2)
             rejections += bool((originals > thr).any())

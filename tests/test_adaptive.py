@@ -8,9 +8,10 @@ import pytest
 from kerntest.adaptive import (
     KernelCollection,
     PoolConfig,
-    _adjusted_level,
+    _RankTable,
     _adjusted_thresholds,
     _aggregate_decide,
+    _quantile_count,
     aggregated_test,
     harmonic_weights,
     pool,
@@ -294,7 +295,7 @@ def test_aggregated_exhaustive_type_one_error():
             rejections = 0
             for t in range(720):
                 originals = stats[:, t]
-                u = _adjusted_level(originals, stats, alpha, weights, 20)
+                u, _, _ = _RankTable(originals, stats, weights).search(alpha)
                 pools = np.sort(np.column_stack([stats, originals]), axis=1)
                 thr = _adjusted_thresholds(pools, u * weights * 2)
                 rejections += bool((originals > thr).any())
@@ -302,10 +303,10 @@ def test_aggregated_exhaustive_type_one_error():
 
 
 def _reference_aggregate(originals, replicates, alpha, weights):
-    """The threshold-gathering search: sort the pools, read each kernel's
+    """The bisection search: sort the pools, read each kernel's
     (1 - level)-quantile at every probed level and average the
-    any-kernel exceedance, inside the same two bisections.  A quantile
-    count above B reads the pool minimum."""
+    any-kernel exceedance, inside a 16-step p-value bisection around a
+    20-step u* bisection.  A quantile count above B reads the pool minimum."""
     count, n_rep = replicates.shape
     pools = np.sort(np.column_stack([replicates, originals]), axis=1)
 
@@ -351,11 +352,44 @@ def _reference_aggregate(originals, replicates, alpha, weights):
     }
 
 
-def test_aggregate_decide_matches_reference_search():
-    rng = np.random.default_rng(8)
-    rep = ReplicateSpec(count=1, method="permutation", seed=0)
+def _candidate_scan(originals, replicates, alpha, weights):
+    """Brute force over every candidate level: alpha/|K|, alpha and each
+    breakpoint a / (w_k |K| (B+1)) of the quantile counts.  Every level
+    gathers its thresholds from the sorted pools with `_quantile_count`;
+    u* is the largest feasible level in [alpha/|K|, alpha] (else alpha/|K|),
+    and the p-value is min(|K| e_o, max(e_o, H(e_o)/B), 1) for the lowest
+    level e_o at which the original exceeds."""
+    count, n_rep = replicates.shape
+    m = n_rep + 1
+    pools = np.sort(np.column_stack([replicates, originals]), axis=1)
+    levels = np.array(sorted({alpha / count, alpha} | {a / (w * count * m) for w in weights for a in range(1, m)}))
+    thr = pools[np.arange(count), n_rep - _quantile_count(levels[:, None] * weights * count, m)]
+    hits = (replicates[None] > thr[:, :, None]).any(axis=1).sum(axis=1)
+    enters = (originals > thr).any(axis=1)
+    in_range = (levels >= alpha / count) & (levels <= alpha)
+    feasible = np.flatnonzero(in_range & (hits / n_rep <= alpha))
+    star = feasible.max() if feasible.size else int(np.flatnonzero(levels == alpha / count)[0])
+    p_value = 1.0
+    if enters.any():
+        first = int(np.argmax(enters))
+        e_o = float(levels[first])
+        p_value = float(min(count * e_o, max(e_o, hits[first] / n_rep), 1.0))
+    return {
+        "reject": bool(enters[star]),
+        "p_value": p_value,
+        "adjusted_level": float(levels[star]),
+        "statistic": float((originals - thr[star]).max()),
+        "thresholds": [float(t) for t in thr[star]],
+    }
+
+
+def _aggregate_cases(seed, total):
+    """Random aggregation inputs: |K| 1..5, B {19, 99, 100, 199}, alpha
+    {.05, .1, .2}, normal and tied statistics, uniform, non-uniform below
+    the cap and harmonic weights."""
+    rng = np.random.default_rng(seed)
     cases = 0
-    while cases < 2000:
+    while cases < total:
         count = int(rng.integers(1, 6))
         n_rep = int(rng.choice([19, 99, 100, 199]))  # alpha * 100 is a count: E / B == alpha occurs
         alpha = float(rng.choice([0.05, 0.1, 0.2]))
@@ -375,14 +409,51 @@ def test_aggregate_decide_matches_reference_search():
             w = rng.uniform(0.4, 1.0, size=count) / count
             w[: count // 2] = w[0]
             weights = tuple(w)
-        collection = KernelCollection(tuple(GAUSS for _ in range(count)), weights)
-        got = _aggregate_decide(originals, replicates, alpha, "mmd", rep, collection).to_json_dict()
-        want = _reference_aggregate(originals, replicates, alpha, collection.weight_vector())
-        assert {key: got[key] for key in ("reject", "p_value", "adjusted_level", "statistic")} == {
-            key: want[key] for key in ("reject", "p_value", "adjusted_level", "statistic")
-        }
-        assert [o["threshold"] for o in got["per_kernel"]] == want["thresholds"]
+        yield originals, replicates, alpha, KernelCollection(tuple(GAUSS for _ in range(count)), weights)
         cases += 1
+
+
+def _counts(u, weights, n_rep):
+    return tuple(_quantile_count(u * weights * weights.size, n_rep + 1).tolist())
+
+
+def test_aggregate_decide_matches_reference_search():
+    rep = ReplicateSpec(count=1, method="permutation", seed=0)
+    keys = ("reject", "p_value", "adjusted_level", "statistic")
+    for originals, replicates, alpha, collection in _aggregate_cases(8, 2000):
+        weights = collection.weight_vector()
+        got = _aggregate_decide(originals, replicates, alpha, "mmd", rep, collection).to_json_dict()
+        thresholds = [o["threshold"] for o in got["per_kernel"]]
+        assert got["reject"] == (got["p_value"] <= alpha) == (got["statistic"] > 0)
+        scan = _candidate_scan(originals, replicates, alpha, weights)
+        assert {key: got[key] for key in keys} == {key: scan[key] for key in keys}
+        assert thresholds == scan["thresholds"]
+        # the bisection lands on the same counts and decision, its p-value
+        # within its resolution
+        bisection = _reference_aggregate(originals, replicates, alpha, weights)
+        assert (got["reject"], got["statistic"], thresholds) == (
+            bisection["reject"], bisection["statistic"], bisection["thresholds"]
+        )
+        n_rep = replicates.shape[1]
+        assert _counts(got["adjusted_level"], weights, n_rep) == _counts(bisection["adjusted_level"], weights, n_rep)
+        resolution = (alpha if got["reject"] else 1.0 - alpha) / 2**16
+        assert abs(got["p_value"] - bisection["p_value"]) <= resolution
+
+
+def test_aggregate_decide_coincident_breakpoints():
+    # harmonic weights: w_1 = 4 w_2, so count 4 of kernel 1 and count 1 of
+    # kernel 2 share the breakpoint u = 0.1644934 (counts (4, 1), infeasible).
+    # A u* bisection that runs 30 or more steps stops in the 1e-10 window
+    # below it where only kernel 2's count has moved, reads counts (3, 1)
+    # and rejects; every candidate level reads (3, 0) at u* and no rejection
+    originals, replicates, alpha, collection = list(_aggregate_cases(8, 1280))[1279]
+    assert (originals.size, replicates.shape[1], alpha) == (2, 19, 0.2)
+    assert collection.weights == harmonic_weights(2)
+    rep = ReplicateSpec(count=1, method="permutation", seed=0)
+    result = _aggregate_decide(originals, replicates, alpha, "mmd", rep, collection)
+    assert not result.reject
+    assert result.p_value == 4 / 19
+    assert _counts(result.adjusted_level, collection.weight_vector(), 19) == (3, 0)
 
 
 def test_aggregated_weight_above_cap_reads_pool_minimum():
@@ -405,16 +476,18 @@ def test_aggregated_weight_above_cap_reads_pool_minimum():
 
 
 def test_golden_aggregated_execute():
-    # p-value, u* and decision pinned from the threshold-gathering search;
-    # they depend on the statistics only through their ranks
+    # p-value, u* and decision pinned from the exact search; they depend on
+    # the statistics only through their ranks: p = H(e_o)/B with H = 2, 3, 58
+    # exceeding replicates out of B = 199, u* a breakpoint (count 4 or 3 of
+    # 200) or the Bonferroni level alpha/9
     mmd = {"m": 20, "n": 20, "dim": 2, "shift": 0.5}
     cases = [
         ({"framework": "mmd", "bandwidth": "grid:10"}, "gaussian_mean_shift", mmd, 5,
-         (0.010050964355468752, 0.024999966621398924, True)),
+         (0.010050251256281407, 0.02, True)),
         ({"framework": "mmd", "bandwidth": "grid:10", "method": "wild_bootstrap"}, "gaussian_mean_shift",
-         mmd, 5, (0.01507568359375, 0.01999998569488526, True)),
+         mmd, 5, (0.01507537688442211, 0.015, True)),
         ({"framework": "hsic", "bandwidth": "grid:3"}, "correlated_gaussian_pairs",
-         {"n": 20, "dim": 1, "rho": 0.4}, 4, (0.29145736694335944, 0.009999974568684896, False)),
+         {"n": 20, "dim": 1, "rho": 0.4}, 4, (0.2914572864321608, 0.005555555555555556, False)),
     ]
     for flags, name, params, data_seed, expected in cases:
         setup = harness_run.TestSetup(replicates=199, seed=7, adapt="agg", **flags)

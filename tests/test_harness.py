@@ -192,6 +192,10 @@ def test_cli_usage_errors_before_computation(tmp_path, capsys):
     assert main(["test", "two-sample", "--x", missing, "--y", missing,
                  "--method", "wild", "--dp-epsilon", "1.0"]) == 2
     capsys.readouterr()
+    for split in ("0", "-2"):  # no data has fewer than one X column
+        assert main(["test", "independence", "--paired", missing, "--split", split]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--split" in captured.err and "not found" not in captured.err
 
 
 @pytest.mark.parametrize(

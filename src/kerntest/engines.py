@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .kernels import KernelSpec
 from .resampling import (
     TAG_REPLICATE,
@@ -45,8 +44,9 @@ from .statistics import (
 STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
 _CHUNK_ELEMENTS = 1 << 22
-# The HSIC permutation engine's two gathered (K, chunk, n, n) blocks are
-# sized to stay in cache.
+# The HSIC permutation engine's two gathered (K, chunk, n, n) blocks, and
+# the MMD permutation engine's masked (chunk, N) products, are sized to
+# stay in cache.
 _GATHER_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -71,7 +71,9 @@ def _sign_matrix(seed: int, count: int, n: int) -> np.ndarray:
 
 def _quadratic_offdiag(h: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """sum_{i != j} eps_i eps_j h[i, j] for every sign row."""
-    return ((signs @ h) * signs).sum(axis=1) - np.trace(h)
+    q = signs @ h
+    q *= signs  # in place: one (rows, n) temporary
+    return q.sum(axis=1) - np.trace(h)
 
 
 def wild_replicates(
@@ -128,7 +130,6 @@ def mmd_permutation_replicates(
         raise ValueError(f"unknown statistic kind {statistic!r}")
     m, n = data.m, data.n
     total = m + n
-    z = np.vstack([data.x, data.y])
     masks = np.empty((rep.count + 1, total))
     masks[0] = np.concatenate([np.ones(m), np.zeros(n)])
     for b, rng in enumerate(stream(rep.seed, TAG_REPLICATE, range(rep.count)), start=1):
@@ -136,13 +137,20 @@ def mmd_permutation_replicates(
         row = np.zeros(total)
         row[perm[:m]] = 1.0
         masks[b] = row
-    comask = 1.0 - masks
     vals = np.empty((len(specs), rep.count + 1))
+    # row sums of the masked products are taken a block of replicates at a
+    # time; each row's sum does not depend on the block
+    rows = max(1, _GATHER_CHUNK_ELEMENTS // total)
     for k, spec in enumerate(specs):
-        gram = kernels.gram_matrix(spec, z, z)
+        gram = data.distances.gram(spec)
         gm = masks @ gram
-        s_xx = (gm * masks).sum(axis=1)
-        s_xy = (gm * comask).sum(axis=1)
+        s_xx, s_xy = np.empty(rep.count + 1), np.empty(rep.count + 1)
+        for lo in range(0, rep.count + 1, rows):
+            within = gm[lo : lo + rows] * masks[lo : lo + rows]
+            s_xx[lo : lo + rows] = within.sum(axis=1)
+            # masks are 0/1 and gm >= 0, so gm - gm * masks is exactly gm * (1 - masks)
+            np.subtract(gm[lo : lo + rows], within, out=within)
+            s_xy[lo : lo + rows] = within.sum(axis=1)
         s_yy = gram.sum() - s_xx - 2.0 * s_xy
         if statistic == "u":
             diag = np.diagonal(gram)
@@ -172,6 +180,7 @@ def hsic_permutation_replicates(
     cores = [core_matrix_hsic(kx, ky, data) for kx, ky in spec_pairs]
     kc = np.stack([c.k_centered for c in cores])
     lc = np.stack([c.l_centered for c in cores])
+    del cores  # the products h and the unstacked factors are not read here
     k_diag = np.einsum("kii->ki", kc).copy()
     l_diag = np.einsum("kii->ki", lc).copy()
     perms = np.empty((rep.count + 1, n), dtype=np.intp)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ..adaptive import (
     KernelCollection,
     PoolConfig,
@@ -169,20 +167,20 @@ def _resolve_kernels(setup: TestSetup, checked: CheckedSetup, data) -> KernelCol
     HSIC pair) for a fixed or median bandwidth, one per grid point otherwise."""
     mode, value = checked.bandwidth
 
-    def specs(points):
+    def specs(distances):
         if mode == "fixed":
             return (checked.kernel,)
         if mode == "median":
-            bandwidths = (median_heuristic(points),)
+            bandwidths = (median_heuristic(distances),)
         else:
-            bandwidths = bandwidth_grid(points, value)
+            bandwidths = bandwidth_grid(distances, value)
         return tuple(dataclasses.replace(checked.kernel, bandwidth=b) for b in bandwidths)
 
+    # the bandwidth rule reads the distances the engines' grams are made from
     if setup.framework == "hsic":
-        x_specs, y_specs = specs(data.x_part), specs(data.y_part)
+        x_specs, y_specs = specs(data.x_distances), specs(data.y_distances)
         return KernelCollection(tuple((kx, ky) for kx in x_specs for ky in y_specs))
-    points = np.vstack([data.x, data.y]) if isinstance(data, TwoSampleData) else data.x
-    return KernelCollection(specs(points))
+    return KernelCollection(specs(data.distances))
 
 
 def execute(setup: TestSetup, data) -> TestResult:

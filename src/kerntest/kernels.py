@@ -23,28 +23,48 @@ are the almost-everywhere expressions with the ``sign(0) = 0`` convention,
 so a Laplace Stein matrix is not positive semi-definite in general (the
 Gaussian and IMQ Stein matrices are).
 
-Precision contract of the matrix builders.  Gaussian and IMQ grams, the
-Gaussian and IMQ Stein matrices and the pairwise distances behind
-``median_heuristic`` / ``bandwidth_grid`` take squared scaled distances
-from one BLAS pass, ``|a|^2 + |b|^2 - 2 a.b``, on coordinates shifted by
-the per-coordinate midrange of the data (which does not depend on row
-order) and divided by the bandwidths.  That form loses accuracy where
-the distance is small against ``|a|^2 + |b|^2``; every entry below
-``2^-6 (|a|^2 + |b|^2)``, negatives included, is recomputed from the
-coordinate differences, so identical points are at distance exactly 0
-and a squared distance elsewhere carries a relative error of at most
-about ``2^6 (d + 2)`` units in the last place.  In one or two dimensions,
-where it is also faster, ``t_i^2`` is accumulated over the dimensions
-instead, as Laplace grams accumulate ``|t_i|``.  A gram or Stein matrix
-of a sample with itself is exactly symmetric, with diagonal exactly
-``kernel_bound`` for a gram.  Laplace Stein matrices accumulate over the
-dimensions in (n, n) buffers, as Laplace grams do; only the derivative
-matrices, behind the scalar oracle ``stein_kernel``, form (m, n, d) tensors.
+Precision contract of the matrix builders.  A point set has one pass of
+unscaled squared Euclidean distances, kept in its ``PointDistances`` (a
+dataset holds one per sample it tests), plus one pass of unscaled L1
+distances when a Laplace kernel needs them.  Everything isotropic is
+derived from these: the median and grid bandwidths, every Gaussian, IMQ
+and Laplace gram as ``exp(-D (0.5 / lambda^2))``,
+``(1 + D / lambda^2)^(-beta)`` or ``exp(-L / lambda)`` (one private
+transform, which ``gram_matrix`` also applies to its own distance pass,
+so both routes give the same gram bit for bit), the MMD and HSIC wild
+cores as blocks of those grams, and the squared distances of the Stein
+matrix.  Anisotropic bandwidths keep their own pass on scaled
+coordinates.
+
+The squared distances come from one BLAS pass, ``|a|^2 + |b|^2 - 2 a.b``,
+on coordinates shifted by the per-coordinate midrange of the data (which
+does not depend on row order); ``|a|^2 + |b|^2`` is formed a block of
+rows at a time, so no second (m, n) array is built.  That form loses
+accuracy where the distance is small against ``|a|^2 + |b|^2``; every
+entry below ``2^-6 (|a|^2 + |b|^2)``, negatives included, is recomputed
+from the coordinate differences, so identical points are at distance
+exactly 0 and a squared distance elsewhere carries a relative error of at
+most about ``2^6 (d + 2)`` units in the last place.  In one or two
+dimensions, where it is also faster, the squared coordinate differences
+are accumulated over the dimensions instead, as L1 distances accumulate
+``|a_i - b_i|``.  The distances of a sample with itself are exactly
+symmetric with a zero diagonal, so its grams are exactly symmetric with
+diagonal ``kernel_bound``, and so are its Stein matrices.
+
+Bandwidths are read from order statistics of the squared distances: one
+single-kth partition per median or quantile finds the one or two that
+``np.median`` or ``np.quantile`` would read, and only those are
+square-rooted.  ``sqrt`` is monotone and correctly rounded, so the result
+equals numpy's on the square-rooted distances bit for bit.  Laplace Stein
+matrices accumulate over the dimensions in (n, n) buffers; only the
+derivative matrices, behind the scalar oracle ``stein_kernel``, form
+(m, n, d) tensors.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -161,6 +181,8 @@ def _difference_form(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, fl
 _CANCELLATION_SHARE = 2.0**-6
 # Cap on the (entries x dimensions) temporary of one recompute step.
 _RECOMPUTE_ELEMENTS = 1 << 16
+# Cap on the entries of a row block of an (m, n) temporary.
+_ROW_BLOCK_ELEMENTS = 1 << 13
 # Side of the square tiles in which a matrix is symmetrised.
 _SYMMETRISE_TILE = 128
 # Below this dimension, accumulating squared coordinate differences takes
@@ -191,8 +213,9 @@ def _symmetrise(D: np.ndarray) -> None:
             D[cols, rows] = T.T
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, same: bool) -> np.ndarray:
-    """Squared scaled distances sum_i ((a_i - b_i) / lam_i)^2, shape (m, n).
+def _sq_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray | None, same: bool) -> np.ndarray:
+    """Squared distances sum_i ((a_i - b_i) / lam_i)^2, shape (m, n); unscaled
+    (``lam_i = 1``) when ``lam`` is None.
 
     ``same`` says that B is A; the result is then exactly symmetric with a
     zero diagonal.  See the module docstring for the precision contract.
@@ -200,33 +223,48 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, same: bool) -> 
     if A.shape[1] < _BLAS_MIN_DIM:
         return _accumulated_distances(A, B, lam, square=True)
     centre = _midrange(A, B)
-    As = (A - centre) / lam
-    Bs = As if same else (B - centre) / lam
+    As = _scaled(A - centre, lam)
+    Bs = As if same else _scaled(B - centre, lam)
     na = np.einsum("ij,ij->i", As, As)
     nb = na if same else np.einsum("ij,ij->i", Bs, Bs)
-    bound = np.add.outer(na, nb)  # one rounding of |a|^2 + |b|^2 keeps d(a, b) = d(b, a)
     D = As @ Bs.T
     D *= -2.0
-    D += bound
+    # |a|^2 + |b|^2 is formed one block of rows at a time, rounded once per
+    # entry, which keeps d(a, b) = d(b, a); symmetrising needs every row
+    # complete, so the flags form it a second time
+    rows = max(1, _ROW_BLOCK_ELEMENTS // D.shape[1])
+    for lo in range(0, D.shape[0], rows):
+        D[lo : lo + rows] += np.add.outer(na[lo : lo + rows], nb)
     if same:
         _symmetrise(D)
-    bound *= _CANCELLATION_SHARE
-    flagged = np.flatnonzero(D <= bound)
-    del bound
+    flagged = []
+    for lo in range(0, D.shape[0], rows):
+        bound = np.add.outer(na[lo : lo + rows], nb)
+        bound *= _CANCELLATION_SHARE
+        flagged.append(np.flatnonzero(D[lo : lo + rows] <= bound) + lo * D.shape[1])
+    flagged = np.concatenate(flagged)
     # every entry at or below the bound, negatives included, is recomputed,
     # so no entry is left below zero
     step = max(1, _RECOMPUTE_ELEMENTS // A.shape[1])
     for lo in range(0, flagged.size, step):
         r, c = np.divmod(flagged[lo : lo + step], D.shape[1])
-        U = (A[r] - B[c]) / lam
+        U = _scaled(A[r] - B[c], lam)
         D[r, c] = np.einsum("kd,kd->k", U, U)
     if same:
         np.fill_diagonal(D, 0.0)
     return D
 
 
-def _accumulated_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, square: bool) -> np.ndarray:
-    """sum_i t_i^2 (``square``) or sum_i |t_i| with t_i = (a_i - b_i) / lam_i, shape (m, n).
+def _scaled(U: np.ndarray, lam: np.ndarray | None) -> np.ndarray:
+    """U / lam in place, or U itself when lam is None."""
+    if lam is not None:
+        U /= lam
+    return U
+
+
+def _accumulated_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray | None, square: bool) -> np.ndarray:
+    """sum_i t_i^2 (``square``) or sum_i |t_i| with t_i = (a_i - b_i) / lam_i, shape (m, n);
+    unscaled (``lam_i = 1``) when ``lam`` is None.
 
     Accumulated one dimension at a time into one (m, n) buffer.
     """
@@ -234,7 +272,8 @@ def _accumulated_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, square
     U = np.empty_like(D)
     for i in range(A.shape[1]):
         np.subtract.outer(A[:, i], B[:, i], out=U)
-        U /= lam[i]
+        if lam is not None:
+            U /= lam[i]
         if square:
             np.multiply(U, U, out=U)
         else:
@@ -243,31 +282,106 @@ def _accumulated_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray, square
     return D
 
 
+def _isotropic(lam: np.ndarray) -> float | None:
+    """The common bandwidth when every component is equal, else None."""
+    return float(lam[0]) if np.all(lam == lam[0]) else None
+
+
+def _distance_gram(
+    spec: KernelSpec, D: np.ndarray, scale: float, dim: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Kernel values from distances D and the bandwidth ``scale``: D holds
+    squared Euclidean distances for the Gaussian and IMQ kernels, L1
+    distances for the Laplace kernel.  Written to ``out`` (which may be D)
+    or to a new array.
+
+    The one gram formula: every gram, from a dataset's cached distances or
+    from ``gram_matrix``'s own pass, is made here.
+    """
+    if spec.family == "gaussian":
+        G = np.multiply(D, -(0.5 / scale**2), out=out)
+        np.exp(G, out=G)
+    elif spec.family == "laplace":
+        G = np.divide(D, -scale, out=out)
+        np.exp(G, out=G)
+    else:
+        G = np.divide(D, scale**2, out=out)
+        G += 1.0
+        np.power(G, -spec.imq_exponent, out=G)
+    if spec.normalized:
+        G *= _norm_const(spec, dim)
+    return G
+
+
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Matrix of kernel values, entry (i, j) = k(A_i, B_j).
 
     Exactly symmetric with diagonal ``kernel_bound`` when A equals B
-    row-for-row.
+    row-for-row.  An isotropic gram is made from one unscaled distance
+    pass, exactly as ``PointDistances.gram`` makes it from cached distances.
     """
     A, B = _as_points(A), _as_points(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     lam = spec.bandwidth_vector(A.shape[1])
+    scale = _isotropic(lam)
+    pass_lam = None if scale is not None else lam  # anisotropic: one scaled pass
     if spec.family == "laplace":
-        base = _accumulated_distances(A, B, lam, square=False)
-        np.negative(base, out=base)
-        np.exp(base, out=base)
+        D = _accumulated_distances(A, B, pass_lam, square=False)
     else:
         same = A is B or np.array_equal(A, B)
-        base = _sq_distances(A, A if same else B, lam, same)
-        if spec.family == "gaussian":
-            base *= -0.5
-            np.exp(base, out=base)
-        else:
-            base += 1.0
-            np.power(base, -spec.imq_exponent, out=base)
-    base *= _norm_const(spec, A.shape[1])
-    return base
+        D = _sq_distances(A, A if same else B, pass_lam, same)
+    return _distance_gram(spec, D, 1.0 if scale is None else scale, A.shape[1], out=D)
+
+
+class PointDistances:
+    """Pairwise distances of one point set, each matrix computed once, on first use.
+
+    ``squared`` holds the unscaled squared Euclidean distances and ``l1``
+    the unscaled L1 distances, (n, n), exactly symmetric with a zero
+    diagonal and read-only.  The median and grid bandwidths, every
+    isotropic gram (``gram``) and the Stein matrix's squared distances are
+    read from them, so a dataset pays one distance pass (two for the
+    Laplace kernel) however many kernels it is tested with.
+
+    The matrices are never recomputed, so ``points`` must not change: the
+    datasets of ``kerntest.statistics`` pass arrays that they own and have
+    made read-only.
+    """
+
+    def __init__(self, points):
+        self.points = _as_points(points)
+
+    @functools.cached_property
+    def squared(self) -> np.ndarray:
+        return _read_only(_sq_distances(self.points, self.points, None, True))
+
+    @functools.cached_property
+    def l1(self) -> np.ndarray:
+        return _read_only(_accumulated_distances(self.points, self.points, None, square=False))
+
+    def gram(self, spec: KernelSpec, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+        """k(points[rows], points[cols]) as a new array.
+
+        With an isotropic bandwidth this is, bit for bit, the same block of
+        ``gram_matrix(spec, points, points)``.  Anisotropic bandwidths need
+        a scaled pass, which ``gram_matrix`` makes on the two blocks.
+        """
+        dim = self.points.shape[1]
+        scale = _isotropic(spec.bandwidth_vector(dim))
+        if scale is None:
+            return gram_matrix(spec, self.points[rows], self.points[cols])
+        D = self.l1 if spec.family == "laplace" else self.squared
+        return _distance_gram(spec, D[rows, cols], scale, dim)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _distances(points) -> PointDistances:
+    return points if isinstance(points, PointDistances) else PointDistances(points)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -375,7 +489,7 @@ def stein_kernel(spec: KernelSpec, score: ScoreField, x, y) -> float:
     return float(k * (sx @ sy) + g1 @ sy + (-g1) @ sx + c)
 
 
-def _smooth_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _smooth_stein_matrix(spec: KernelSpec, dists: PointDistances, S: np.ndarray) -> np.ndarray:
     """Gaussian or IMQ Stein matrix in closed form, up to symmetrisation.
 
     With A = (X - midrange) / lam, T = S / lam, p_i = A_i . T_i, r^2 the
@@ -387,45 +501,55 @@ def _smooth_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.n
     into -(A_i . T_j + A_j . T_i), which with p_i + p_j makes the two
     gradient terms (A_i - A_j) . (T_i - T_j).
     """
+    X = dists.points
     dim = X.shape[1]
     lam = spec.bandwidth_vector(dim)
-    R = _sq_distances(X, X, lam, True)
-    if np.all(lam == lam[0]):
-        W = R / lam[0] ** 2
+    scale = _isotropic(lam)
+    if scale is not None:
+        # r^2 = D / lam^2 and w = r^2 / lam^2, from the cached distances
+        r2, w, s2 = dists.squared, None, scale**2
     else:
-        W = _sq_distances(X, X, lam**2, True)
+        r2, w, s2 = _sq_distances(X, X, lam, True), _sq_distances(X, X, lam**2, True), 1.0
     A = (X - _midrange(X, X)) / lam
     T = S / lam
     p = np.einsum("ij,ij->i", A, T)
-    E = A @ (-2.0 * T).T
-    E += p[:, None]
-    E += p[None, :]
-    E += (1.0 / lam**2).sum()
-    if spec.family == "gaussian":
-        E -= W
-        del W
-        R *= -0.5
-        np.exp(R, out=R)
-    else:
-        beta = spec.imq_exponent
-        R += 1.0
-        W /= R
-        W *= 2.0 * (beta + 1.0)
-        E -= W
-        del W
-        E /= R
-        E *= 2.0 * beta
-        np.power(R, -beta, out=R)
-    E += S @ S.T
-    E *= R
-    E *= _norm_const(spec, dim)
-    return E
+    minus_2t, inv2, c = -2.0 * T.T, (1.0 / lam**2).sum(), _norm_const(spec, dim)
+    H = np.empty_like(r2)
+    # a block of rows at a time: the output is the only other (n, n) array
+    rows = max(1, _ROW_BLOCK_ELEMENTS // X.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        blk = slice(lo, lo + rows)
+        R = r2[blk] / s2
+        W = R / s2 if w is None else w[blk]
+        E = A[blk] @ minus_2t
+        E += p[blk, None]
+        E += p[None, :]
+        E += inv2
+        if spec.family == "gaussian":
+            E -= W
+            R *= -0.5
+            np.exp(R, out=R)
+        else:
+            beta = spec.imq_exponent
+            R += 1.0
+            W = W / R
+            W *= 2.0 * (beta + 1.0)
+            E -= W
+            E /= R
+            E *= 2.0 * beta
+            np.power(R, -beta, out=R)
+        E += S[blk] @ S.T
+        E *= R
+        E *= c
+        H[blk] = E
+    return H
 
 
-def _laplace_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _laplace_stein_matrix(spec: KernelSpec, dists: PointDistances, S: np.ndarray) -> np.ndarray:
     """Laplace Stein matrix up to symmetrisation, from (n, n) buffers: with
     t = (x_i - x_j) / lam, entry (i, j) is k(x_i, x_j) (s_i . s_j
     + sum_d sign(t_d) (s_id - s_jd) / lam_d - sum_d sign(t_d)^2 / lam_d^2)."""
+    X = dists.points
     lam = spec.bandwidth_vector(X.shape[1])
     T = S / lam
     H = S @ S.T
@@ -440,20 +564,24 @@ def _laplace_stein_matrix(spec: KernelSpec, X: np.ndarray, S: np.ndarray) -> np.
         sign /= lam[d] ** 2
         H -= sign
     del U, sign
-    H *= gram_matrix(spec, X, X)
+    H *= dists.gram(spec)
     return H
 
 
 def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
-    """Matrix of Stein kernel values over one sample, exactly symmetric."""
-    X = _as_points(points)
+    """Matrix of Stein kernel values over one sample, exactly symmetric.
+
+    ``points`` is an (n, d) array or the sample's ``PointDistances``, whose
+    cached distances are then reused.
+    """
+    dists = _distances(points)
     S = np.asarray(scores, dtype=float)
-    if S.shape != X.shape:
-        raise ValueError(f"scores shape {S.shape} does not match points {X.shape}")
+    if S.shape != dists.points.shape:
+        raise ValueError(f"scores shape {S.shape} does not match points {dists.points.shape}")
     if spec.family == "laplace":
-        H = _laplace_stein_matrix(spec, X, S)
+        H = _laplace_stein_matrix(spec, dists, S)
     else:
-        H = _smooth_stein_matrix(spec, X, S)
+        H = _smooth_stein_matrix(spec, dists, S)
     _symmetrise(H)
     return H
 
@@ -480,23 +608,74 @@ def stein_kernel_bound(spec: KernelSpec, dim: int, score_bound: float) -> float:
     return K * score_bound**2 + 2.0 * G * score_bound + H
 
 
-def _nonzero_distances(points: np.ndarray) -> np.ndarray:
-    """The positive pairwise Euclidean distances, in no particular order."""
-    X = _as_points(points)
-    n = X.shape[0]
+def _upper_squared(points) -> tuple[np.ndarray, int]:
+    """The squared pairwise distances of the strict upper triangle, as a new
+    array, and how many of them are zero.
+
+    Distances are never negative, so order statistic k of the positive
+    distances is order statistic ``zeros + k`` of the array.
+    """
+    dists = _distances(points)
+    n = dists.points.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
-    D = _sq_distances(X, X, np.ones(X.shape[1]), True)
-    vals = D[~np.tri(n, dtype=bool)]  # strict upper triangle
-    vals = np.sqrt(vals[vals > 0])
-    if vals.size == 0:
+    vals = dists.squared[~np.tri(n, dtype=bool)]
+    zeros = vals.size - np.count_nonzero(vals)
+    if zeros == vals.size:
         raise ValueError("all points are identical: no positive pairwise distance")
-    return vals
+    return vals, zeros
+
+
+def _neighbours(vals: np.ndarray, k: int) -> tuple[float, float]:
+    """Order statistics k and k + 1 of vals (0-based), reordering vals.
+
+    One single-kth partition at whichever of the two lies nearer an end of
+    the array; the other is the max of the part below it or the min of the
+    part above it, whichever is the smaller.
+    """
+    if k + 1 <= vals.size - 1 - k:
+        vals.partition(k + 1)
+        return float(vals[: k + 1].max()), float(vals[k + 1])
+    vals.partition(k)
+    return float(vals[k]), float(vals[k + 1 :].min())
+
+
+def _distance_quantile(vals: np.ndarray, zeros: int, q: float) -> float:
+    """``np.quantile`` (linear method) of the square roots of the positive
+    entries of vals, taking only the one or two square roots it reads.
+
+    sqrt is monotone and correctly rounded, so the order statistics of the
+    roots are the roots of the order statistics; the index and the
+    interpolation repeat numpy's arithmetic, so the result is bit for bit
+    numpy's.
+    """
+    count = vals.size - zeros
+    virtual = (count - 1) * q
+    if virtual >= count - 1:
+        return math.sqrt(float(vals.max()))
+    below = math.floor(virtual)
+    lo, hi = _neighbours(vals, zeros + below)
+    a, b = math.sqrt(lo), math.sqrt(hi)
+    t = virtual - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def median_heuristic(points) -> float:
-    """Median of the nonzero pairwise Euclidean distances."""
-    return float(np.median(_nonzero_distances(points)))
+    """Median of the nonzero pairwise Euclidean distances.
+
+    ``points`` is an (n, d) array or its ``PointDistances``, whose cached
+    squared distances are then read.  Bit for bit ``np.median`` of the
+    square-rooted distances, with only the one or two roots it reads taken.
+    """
+    vals, zeros = _upper_squared(points)
+    count = vals.size - zeros
+    half = zeros + count // 2
+    if count % 2:
+        vals.partition(half)
+        return math.sqrt(float(vals[half]))
+    lo, hi = _neighbours(vals, half - 1)
+    return (math.sqrt(lo) + math.sqrt(hi)) / 2.0
 
 
 def bandwidth_grid(points, count: int) -> np.ndarray:
@@ -505,13 +684,14 @@ def bandwidth_grid(points, count: int) -> np.ndarray:
     Returns ``count`` bandwidths geometrically spaced between the 5% and
     95% quantiles of the nonzero pairwise distances.  The quantiles depend
     only on the multiset of distances, whose values do not depend on the
-    order of the input rows, so neither does the output.
+    order of the input rows, so neither does the output.  ``points`` is an
+    (n, d) array or its ``PointDistances``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    vals = _nonzero_distances(points)
-    lo = float(np.quantile(vals, 0.05))
-    hi = float(np.quantile(vals, 0.95))
+    vals, zeros = _upper_squared(points)
+    lo = _distance_quantile(vals, zeros, 0.05)
+    hi = _distance_quantile(vals, zeros, 0.95)
     if count == 1:
         return np.array([math.sqrt(lo * hi)])
     return np.geomspace(lo, hi, count)

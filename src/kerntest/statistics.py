@@ -22,29 +22,37 @@ not satisfy that identity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from . import kernels
-from .kernels import KernelSpec, ScoreField
+from .kernels import KernelSpec, PointDistances, ScoreField
 
 FRAMEWORKS = ("mmd", "hsic", "ksd")
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    """A read-only copy of ``a`` as a finite (samples, dimension) array."""
+    arr = np.array(a, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array (rows = samples)")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
+    arr.flags.writeable = False
     return arr
 
 
 @dataclasses.dataclass(frozen=True)
 class TwoSampleData:
-    """Samples X (m x d) and Y (n x d) from the two distributions under test."""
+    """Samples X (m x d) and Y (n x d) from the two distributions under test.
+
+    Like every dataset here, it holds read-only copies of its inputs, so a
+    caller who changes an input array afterwards changes no result, and
+    its cached distances cannot go stale.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -65,10 +73,24 @@ class TwoSampleData:
     def n(self) -> int:
         return self.y.shape[0]
 
+    @functools.cached_property
+    def distances(self) -> PointDistances:
+        """Distances of the merged sample [X; Y], computed on first use.
+
+        The permutation engine's gram and the median and grid bandwidths
+        read all of it; the wild core reads its X-X, Y-Y and X-Y blocks.
+        """
+        z = np.vstack([self.x, self.y])
+        z.flags.writeable = False
+        return PointDistances(z)
+
 
 @dataclasses.dataclass(frozen=True)
 class PairedData:
-    """Jointly observed pairs, stored as rows of Z = [X | Y] with a split index."""
+    """Jointly observed pairs, stored as rows of Z = [X | Y] with a split index.
+
+    Z is a read-only copy; the distances of each component are cached.
+    """
 
     z: np.ndarray
     split: int
@@ -99,13 +121,25 @@ class PairedData:
     def y_part(self) -> np.ndarray:
         return self.z[:, self.split :]
 
+    @functools.cached_property
+    def x_distances(self) -> PointDistances:
+        """Distances of the X component, computed on first use; the wild
+        core reads the blocks of its two halves."""
+        return PointDistances(self.x_part)
+
+    @functools.cached_property
+    def y_distances(self) -> PointDistances:
+        """Distances of the Y component, computed on first use."""
+        return PointDistances(self.y_part)
+
 
 @dataclasses.dataclass(frozen=True)
 class ModelSampleData:
     """One sample plus score values of the model at the sample points.
 
     ``scores`` may be omitted for operations that do not need them (the
-    plug-in one-sample MMD); the KSD core requires them.
+    plug-in one-sample MMD); the KSD core requires them.  Both are held as
+    read-only copies; the distances of the sample are cached.
     """
 
     x: np.ndarray
@@ -130,6 +164,11 @@ class ModelSampleData:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @functools.cached_property
+    def distances(self) -> PointDistances:
+        """Distances of the sample, computed on first use."""
+        return PointDistances(self.x)
 
 
 Dataset = TwoSampleData | PairedData | ModelSampleData
@@ -246,11 +285,13 @@ class DesignSet:
         return cls(np.concatenate(ii), np.concatenate(jj))
 
 
-def _pair_split_mmd_core(spec: KernelSpec, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Core k(a_i,a_j) - k(a_i,b_j) - k(a_j,b_i) + k(b_i,b_j) for pairs (a_i, b_i)."""
-    kaa = kernels.gram_matrix(spec, first, first)
-    kbb = kernels.gram_matrix(spec, second, second)
-    kab = kernels.gram_matrix(spec, first, second)
+def _pair_split_mmd_core(spec: KernelSpec, dists: PointDistances, half: int) -> np.ndarray:
+    """Core k(a_i,a_j) - k(a_i,b_j) - k(a_j,b_i) + k(b_i,b_j) for the pairs
+    (a_i, b_i) = (P_i, P_{half+i}) of the points P behind ``dists``."""
+    first, second = slice(None, half), slice(half, None)
+    kaa = dists.gram(spec, first, first)
+    kbb = dists.gram(spec, second, second)
+    kab = dists.gram(spec, first, second)
     cross = kab + kab.T  # symmetric by commutativity, keeps H exactly symmetric
     return kaa - cross + kbb
 
@@ -274,7 +315,7 @@ def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> CoreMatrix:
             "the one-sample MMD core requires m == n; use the permutation test "
             "on the merged sample for unequal sample sizes"
         )
-    h = _pair_split_mmd_core(spec, data.x, data.y)
+    h = _pair_split_mmd_core(spec, data.distances, data.m)
     return CoreMatrix(h=h, kernel_bound=core_bound(spec, data), framework="mmd")
 
 
@@ -290,8 +331,8 @@ def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> HsicCo
     Used with permutations of the Y component; Y-permutations act on the
     second factor by row/column conjugation.
     """
-    kc = _double_center(kernels.gram_matrix(kx, data.x_part, data.x_part))
-    lc = _double_center(kernels.gram_matrix(ky, data.y_part, data.y_part))
+    kc = _double_center(data.x_distances.gram(kx))
+    lc = _double_center(data.y_distances.gram(ky))
     bound = core_bound((kx, ky), data)
     return HsicCoreMatrix(h=kc * lc, kernel_bound=bound, framework="hsic", k_centered=kc, l_centered=lc)
 
@@ -308,9 +349,8 @@ def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> C
     if data.n % 2 != 0:
         raise ValueError("the wild-bootstrap HSIC core requires an even number of pairs")
     n = data.n // 2
-    x, y = data.x_part, data.y_part
-    hx = _pair_split_mmd_core(kx, x[:n], x[n:])
-    hy = _pair_split_mmd_core(ky, y[:n], y[n:])
+    hx = _pair_split_mmd_core(kx, data.x_distances, n)
+    hy = _pair_split_mmd_core(ky, data.y_distances, n)
     return CoreMatrix(h=hx * hy, kernel_bound=core_bound((kx, ky), data), framework="hsic")
 
 
@@ -318,7 +358,7 @@ def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:
     """Stein kernel core H[i, j] = h_P(X_i, X_j) from score values."""
     if data.scores is None:
         raise ValueError("KSD core requires score values at every sample point")
-    h = kernels.stein_matrix(spec, data.x, data.scores)
+    h = kernels.stein_matrix(spec, data.distances, data.scores)
     if data.score_bound is not None:
         s_bound = float(data.score_bound)
     else:

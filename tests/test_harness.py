@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kerntest import kernels as kernels_module
 from kerntest.errors import ConfigError, DataError
 from kerntest.harness import experiments, run
 from kerntest.harness.cli import main
@@ -161,7 +162,10 @@ def test_cli_identical_samples_p_value_one(tmp_path, capsys):
     xp, _ = _two_sample_files(tmp_path)
     assert main(["test", "two-sample", "--x", xp, "--y", xp, "--seed", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["statistic"] == 0.0
+    # the V-statistic of identical samples is 0 up to rounding of either
+    # sign (three terms of size <= 1 from sums of 576 kernel values), and
+    # the reported root of its positive part is at most sqrt(64 eps)
+    assert payload["statistic"] ** 2 <= 64 * np.finfo(float).eps
     assert payload["p_value"] == 1.0
     assert payload["reject"] is False
 
@@ -227,6 +231,77 @@ def test_execute_reports_setup_data_mismatch_as_data_error():
     data = TwoSampleData(rng.normal(size=(8, 1)), rng.normal(size=(9, 1)))
     with pytest.raises(DataError, match="m == n"):
         run.execute(run.TestSetup(framework="mmd", method="wild", replicates=19), data)
+
+
+def _distance_datasets(rng, dim=3):
+    """One dataset per framework; dim >= 3 takes the BLAS distance pass."""
+    return {
+        "mmd": TwoSampleData(rng.normal(size=(10, dim)), rng.normal(size=(10, dim))),
+        "hsic": PairedData.from_parts(rng.normal(size=(12, dim)), rng.normal(size=(12, dim))),
+        "ksd": ModelSampleData(rng.normal(size=(14, dim)), -rng.normal(size=(14, dim))),
+    }
+
+
+_SHARING_CASES = [
+    (framework, family, method, adapt)
+    for framework, methods in (("mmd", ("permutation", "wild")), ("hsic", ("permutation", "wild")), ("ksd", ("wild",)))
+    for family in (("imq",) if framework == "ksd" else ("gaussian", "laplace"))
+    for method in methods
+    for adapt in ("none", "agg")
+]
+
+
+@pytest.mark.parametrize("framework, family, method, adapt", _SHARING_CASES)
+def test_one_distance_pass_per_sample(monkeypatch, framework, family, method, adapt):
+    # the bandwidth rule, every gram and the wild cores share one squared
+    # pass per sample (HSIC: per component), plus one L1 pass for Laplace
+    calls = {"squared": 0, "l1": 0}
+    squared, accumulated = kernels_module._sq_distances, kernels_module._accumulated_distances
+
+    def count_squared(*args):
+        calls["squared"] += 1
+        return squared(*args)
+
+    def count_l1(A, B, lam, square):
+        calls["l1"] += not square
+        return accumulated(A, B, lam, square)
+
+    monkeypatch.setattr(kernels_module, "_sq_distances", count_squared)
+    monkeypatch.setattr(kernels_module, "_accumulated_distances", count_l1)
+    data = _distance_datasets(np.random.default_rng(53))[framework]
+    setup = run.TestSetup(
+        framework=framework, kernel_family=family, method=method, replicates=199, alpha=0.5,
+        adapt=adapt, bandwidth="grid:10" if adapt == "agg" else "median",
+    )
+    run.execute(setup, data)
+    samples = 2 if framework == "hsic" else 1
+    assert calls == {"squared": samples, "l1": samples if family == "laplace" else 0}
+
+
+def test_results_ignore_later_changes_to_the_inputs():
+    # datasets copy their inputs, so neither a change before the first test
+    # nor one between two tests reaches the cached distances
+    rng = np.random.default_rng(54)
+    x, y = rng.normal(size=(12, 3)), rng.normal(size=(12, 3)) + 0.3
+    z, scores = rng.normal(size=(12, 4)), -rng.normal(size=(12, 4))
+    cases = [
+        ("mmd", (x, y), lambda a, b: TwoSampleData(a, b)),
+        ("hsic", (z,), lambda a: PairedData(a, 2)),
+        ("ksd", (z, scores), lambda a, b: ModelSampleData(a, b)),
+    ]
+    for framework, arrays, build in cases:
+        setup = run.TestSetup(framework=framework, replicates=49, seed=3)
+        expected = run.execute(setup, build(*[a.copy() for a in arrays])).to_json_dict()
+        inputs = [a.copy() for a in arrays]
+        data = build(*inputs)
+        inputs[0][:] += 5.0
+        first = run.execute(setup, data).to_json_dict()
+        inputs[0][:] = 0.0
+        second = run.execute(setup, data).to_json_dict()
+        assert first == expected and second == expected, framework
+        dists = data.x_distances if framework == "hsic" else data.distances
+        with pytest.raises(ValueError, match="read-only"):
+            dists.points[0, 0] = 1.0
 
 
 def test_cli_seed_and_aggregation_level_checked_before_data(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from kerntest.kernels import (
     KernelSpec,
+    PointDistances,
     bandwidth_grid,
     cross_derivative_matrix,
     derivative_bounds,
@@ -259,6 +260,72 @@ def test_grid_permutation_invariant():
 def test_grid_identical_points_error():
     with pytest.raises(ValueError):
         bandwidth_grid(np.ones((4, 2)), 3)
+
+
+def _numpy_bandwidths(points, count):
+    """The rule as numpy states it: np.median and np.quantile of the
+    square-rooted positive distances of the strict upper triangle."""
+    n = len(points)
+    vals = PointDistances(points).squared[~np.tri(n, dtype=bool)]
+    vals = np.sqrt(vals[vals > 0])
+    lo, hi = float(np.quantile(vals, 0.05)), float(np.quantile(vals, 0.95))
+    grid = np.array([math.sqrt(lo * hi)]) if count == 1 else np.geomspace(lo, hi, count)
+    return float(np.median(vals)), grid
+
+
+def _bandwidth_point_sets():
+    rng = np.random.default_rng(47)
+    for dim in (1, 2, 50):
+        for n in (2, 3, 4, 5, 8, 13, 40):  # 1, 3, 6, 10, 28, 78 and 780 pairs
+            pts = rng.normal(size=(n, dim))
+            yield f"d{dim}-n{n}", pts
+            if n >= 4:
+                dup = pts.copy()
+                dup[n // 2 :] = pts[: n - n // 2]  # zero distances shift the ranks
+                yield f"d{dim}-n{n}-duplicates", dup
+                yield f"d{dim}-n{n}-ties", np.round(2.0 * pts)  # repeated distances
+        yield f"d{dim}-one-distance", np.vstack([np.zeros((3, dim)), np.ones((1, dim))])
+
+
+@pytest.mark.parametrize("name, points", list(_bandwidth_point_sets()))
+def test_bandwidths_equal_numpy_rule_bit_for_bit(name, points):
+    dists = PointDistances(points)
+    for count in (1, 4, 10):
+        median, grid = _numpy_bandwidths(points, count)
+        for source in (points, dists):
+            assert median_heuristic(source) == median
+            assert np.array_equal(bandwidth_grid(source, count), grid)
+
+
+def _cached_gram_cases():
+    for dim in (1, 3):
+        for normalized in (False, True):
+            for spec in (
+                gaussian_kernel(0.7, normalized=normalized),
+                laplace_kernel(2.3, normalized=normalized),
+                imq_kernel(1.1, exponent=0.6, normalized=normalized),
+            ):
+                yield pytest.param(spec, dim, id=f"{spec.family}-normalized{normalized}-d{dim}")
+    for spec in (gaussian_kernel((0.5, 1.5, 0.9)), laplace_kernel((0.5, 1.5, 0.9))):
+        yield pytest.param(spec, 3, id=f"{spec.family}-anisotropic-d3")
+
+
+@pytest.mark.parametrize("spec, dim", list(_cached_gram_cases()))
+def test_cached_gram_equals_gram_matrix_bit_for_bit(spec, dim):
+    rng = np.random.default_rng(48)
+    points = rng.normal(size=(14, dim)) + 3.0
+    points[9] = points[2]
+    dists = PointDistances(points)
+    full = gram_matrix(spec, points, points)
+    assert np.array_equal(dists.gram(spec), full)
+    with pytest.raises(ValueError, match="read-only"):
+        dists.squared[0, 1] = 1.0
+    assert np.array_equal(full, full.T) and np.all(np.diagonal(full) == kernel_bound(spec, dim))
+    if np.ndim(spec.bandwidth) == 0:
+        # the wild cores read these blocks of the merged or component matrix
+        for rows, cols in ((slice(None, 7), slice(None, 7)), (slice(7, None), slice(7, None)),
+                           (slice(None, 7), slice(7, None))):
+            assert np.array_equal(dists.gram(spec, rows, cols), full[rows, cols])
 
 
 def test_median_heuristic_values():

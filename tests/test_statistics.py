@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kerntest.kernels import eval_kernel, gaussian_kernel, imq_kernel, standard_gaussian_score
+from kerntest.kernels import eval_kernel, gaussian_kernel, imq_kernel, laplace_kernel, standard_gaussian_score
 from kerntest.statistics import (
     CoreMatrix,
     DesignSet,
@@ -364,3 +364,21 @@ def test_core_psd_mmd_ksd():
         assert np.linalg.eigvalsh(mmd.h).min() >= -1e-8 * mmd.kernel_bound
         ksd = core_matrix_ksd(GAUSS, ModelSampleData.from_score_field(x, standard_gaussian_score()))
         assert np.linalg.eigvalsh(ksd.h).min() >= -1e-8 * ksd.kernel_bound
+
+
+@pytest.mark.parametrize("spec", [gaussian_kernel(1.3), imq_kernel(0.8), laplace_kernel(2.0, normalized=True)])
+def test_wild_cores_are_blocks_of_the_cached_grams(spec):
+    # the MMD wild core reads blocks of the merged sample's gram, the HSIC
+    # wild core blocks of each component's; both equal gram_matrix's blocks
+    rng = np.random.default_rng(52)
+    x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 3)) + 0.5
+
+    def pair_core(points, half):
+        g = gram_matrix(spec, points, points)
+        kab = g[:half, half:]
+        return g[:half, :half] - (kab + kab.T) + g[half:, half:]
+
+    mmd = core_matrix_mmd(spec, TwoSampleData(x, y))
+    assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 8))
+    hsic = core_matrix_hsic_wild(spec, spec, PairedData.from_parts(x, y))
+    assert np.array_equal(hsic.h, pair_core(x, 4) * pair_core(y, 4))

@@ -137,9 +137,11 @@ def mmd_permutation_replicates(
         row = np.zeros(total)
         row[perm[:m]] = 1.0
         masks[b] = row
+    same = np.flatnonzero((masks == masks[0]).all(axis=1))
     vals = np.empty((len(specs), rep.count + 1))
-    # row sums of the masked products are taken a block of replicates at a
-    # time; each row's sum does not depend on the block
+    # the masked products are formed a block of replicates at a time, so
+    # that no third (B + 1, N) array sits next to the masks and gm; a row's
+    # sum does not depend on its block
     rows = max(1, _GATHER_CHUNK_ELEMENTS // total)
     for k, spec in enumerate(specs):
         gram = data.distances.gram(spec)
@@ -152,6 +154,11 @@ def mmd_permutation_replicates(
             np.subtract(gm[lo : lo + rows], within, out=within)
             s_xy[lo : lo + rows] = within.sum(axis=1)
         s_yy = gram.sum() - s_xx - 2.0 * s_xy
+        # the original's sums are read from the gram's blocks, so samples with
+        # identical halves give equal sums and a statistic of exactly 0; the
+        # replicates that keep the original labelling get the same sums, so
+        # they tie with it exactly
+        s_xx[same], s_xy[same], s_yy[same] = gram[:m, :m].sum(), gram[:m, m:].sum(), gram[m:, m:].sum()
         if statistic == "u":
             diag = np.diagonal(gram)
             d_x = masks @ diag
@@ -180,7 +187,9 @@ def hsic_permutation_replicates(
     cores = [core_matrix_hsic(kx, ky, data) for kx, ky in spec_pairs]
     kc = np.stack([c.k_centered for c in cores])
     lc = np.stack([c.l_centered for c in cores])
-    del cores  # the products h and the unstacked factors are not read here
+    # the products h and the unstacked factors are not read here; freed, they
+    # make room for the components' cached distances
+    del cores
     k_diag = np.einsum("kii->ki", kc).copy()
     l_diag = np.einsum("kii->ki", lc).copy()
     perms = np.empty((rep.count + 1, n), dtype=np.intp)

@@ -33,14 +33,19 @@ FRAMEWORKS = ("mmd", "hsic", "ksd")
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    """A read-only copy of ``a`` as a finite (samples, dimension) array."""
-    arr = np.array(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array (rows = samples)")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def _owned_matrix(a, name: str) -> np.ndarray:
+    """A read-only copy of ``a`` as a finite (samples, dimension) array."""
+    arr = _as_matrix(np.array(a, dtype=float), name)
     arr.flags.writeable = False
     return arr
 
@@ -58,8 +63,8 @@ class TwoSampleData:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_matrix(self.x, "x"))
-        object.__setattr__(self, "y", _as_matrix(self.y, "y"))
+        object.__setattr__(self, "x", _owned_matrix(self.x, "x"))
+        object.__setattr__(self, "y", _owned_matrix(self.y, "y"))
         if self.x.shape[1] != self.y.shape[1]:
             raise ValueError("x and y must share their dimension")
         if self.x.shape[0] < 2 or self.y.shape[0] < 2:
@@ -96,7 +101,7 @@ class PairedData:
     split: int
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _as_matrix(self.z, "z"))
+        object.__setattr__(self, "z", _owned_matrix(self.z, "z"))
         if not (1 <= self.split < self.z.shape[1]):
             raise ValueError(f"split index {self.split} out of range for {self.z.shape[1]} columns")
         if self.z.shape[0] < 2:
@@ -147,9 +152,9 @@ class ModelSampleData:
     score_bound: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_matrix(self.x, "x"))
+        object.__setattr__(self, "x", _owned_matrix(self.x, "x"))
         if self.scores is not None:
-            s = _as_matrix(self.scores, "scores")
+            s = _owned_matrix(self.scores, "scores")
             if s.shape != self.x.shape:
                 raise ValueError("scores must have the same shape as the sample")
             object.__setattr__(self, "scores", s)

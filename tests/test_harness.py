@@ -162,10 +162,7 @@ def test_cli_identical_samples_p_value_one(tmp_path, capsys):
     xp, _ = _two_sample_files(tmp_path)
     assert main(["test", "two-sample", "--x", xp, "--y", xp, "--seed", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    # the V-statistic of identical samples is 0 up to rounding of either
-    # sign (three terms of size <= 1 from sums of 576 kernel values), and
-    # the reported root of its positive part is at most sqrt(64 eps)
-    assert payload["statistic"] ** 2 <= 64 * np.finfo(float).eps
+    assert payload["statistic"] == 0.0
     assert payload["p_value"] == 1.0
     assert payload["reject"] is False
 

@@ -388,6 +388,31 @@ def test_batch_stream_rejects_negative_and_wide_indices():
         stream(0, TAG_REPLICATE, range(2**32 - 1, 2**32 + 1))
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("statistic", ["u", "v", "sqrt_v"])
+def test_mmd_permutation_replicates_with_the_original_labelling_tie_exactly(dim, statistic):
+    # m = n = 2 has 6 labellings: about a sixth of the replicates keep the
+    # original's, and each must count as reaching it
+    rng = np.random.default_rng(4)
+    two = TwoSampleData(rng.normal(size=(2, dim)), rng.normal(size=(2, dim)))
+    rep = ReplicateSpec(count=199, seed=5)
+    original, replicates = engines.mmd_permutation_replicates(two, [gaussian_kernel(1.3)], rep, statistic)
+    kept = [
+        set(sample_two_sample_permutation(rng, 2, 2)[:2]) == {0, 1}
+        for rng in stream(rep.seed, TAG_REPLICATE, range(rep.count))
+    ]
+    assert sum(kept) > 10
+    np.testing.assert_array_equal(replicates[0][kept], original[0])
+
+
+def test_mmd_permutation_statistic_of_identical_samples_is_zero():
+    x = np.random.default_rng(6).normal(size=(12, 2))
+    original, _ = engines.mmd_permutation_replicates(
+        TwoSampleData(x, x), [gaussian_kernel(1.1)], ReplicateSpec(count=19, seed=1), "v"
+    )
+    assert original[0] == 0.0
+
+
 @pytest.mark.parametrize("count", [1, 99])
 def test_engines_match_per_replicate_generators(count, monkeypatch):
     rng = np.random.default_rng(21)

@@ -87,15 +87,18 @@ class Sensitivity:
             raise ValueError("sensitivity must be positive")
 
 
-def laplace_inverse_cdf(p: float) -> float:
-    """Quantile of the unit-scale Laplace distribution.
+def laplace_inverse_cdf(p: float | np.ndarray) -> float | np.ndarray:
+    """Quantile of the unit-scale Laplace distribution, elementwise.
 
     F^{-1}(p) = -sign(p - 0.5) * log(1 - 2 |p - 0.5|) for p in (0, 1).
+    A scalar gives a float, an array an array of its shape.
     """
-    if not (0.0 < p < 1.0):
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
     centered = p - 0.5
-    return float(-np.sign(centered) * np.log1p(-2.0 * abs(centered)))
+    q = -np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    return float(q) if q.ndim == 0 else q
 
 
 def global_sensitivity(
@@ -122,14 +125,19 @@ def global_sensitivity(
 
 
 def _noise_vector(seed: int, count: int, scale: float) -> np.ndarray:
-    """Laplace draws by inverse CDF, one per replicate stream; index 0 is the original's."""
-    out = np.empty(count)
-    for b, rng in enumerate(stream(seed, TAG_NOISE, range(count))):
-        u = rng.random()
-        if u <= 0.0:
-            u = 2.0**-53
-        out[b] = scale * laplace_inverse_cdf(u)
-    return out
+    """Laplace draws by inverse CDF, one per replicate stream; index 0 is the original's.
+
+    Stream b's uniform is its ``rng.random()``, read from its first raw
+    PCG64 output w as (w >> 11) * 2**-53; a uniform of 0 becomes 2**-53.
+    """
+    words = np.fromiter(
+        (rng.bit_generator.random_raw() for rng in stream(seed, TAG_NOISE, range(count))),
+        dtype=np.uint64,
+        count=count,
+    )
+    u = (words >> np.uint64(11)) * 2.0**-53
+    u[u == 0.0] = 2.0**-53
+    return scale * laplace_inverse_cdf(u)
 
 
 def _constrained_test(

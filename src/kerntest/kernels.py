@@ -183,7 +183,7 @@ _CANCELLATION_SHARE = 2.0**-6
 _RECOMPUTE_ELEMENTS = 1 << 16
 # Cap on the entries of a row block of an (m, n) temporary.
 _ROW_BLOCK_ELEMENTS = 1 << 13
-# Side of the square tiles in which a matrix is symmetrised.
+# Side of the square tiles in which a Stein matrix is symmetrised.
 _SYMMETRISE_TILE = 128
 # Below this dimension, accumulating squared coordinate differences takes
 # fewer passes over the (m, n) buffer than the BLAS form, and is exact.
@@ -227,21 +227,21 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray | None, same: bo
     Bs = As if same else _scaled(B - centre, lam)
     na = np.einsum("ij,ij->i", As, As)
     nb = na if same else np.einsum("ij,ij->i", Bs, Bs)
+    # with B = A, numpy computes As @ As.T by one SYRK call, which mirrors
+    # one triangle, so the product is exactly symmetric
     D = As @ Bs.T
     D *= -2.0
     # |a|^2 + |b|^2 is formed one block of rows at a time, rounded once per
-    # entry, which keeps d(a, b) = d(b, a); symmetrising needs every row
-    # complete, so the flags form it a second time
+    # entry, which keeps d(a, b) = d(b, a); scaled, it is the block's
+    # cancellation bound
     rows = max(1, _ROW_BLOCK_ELEMENTS // D.shape[1])
-    for lo in range(0, D.shape[0], rows):
-        D[lo : lo + rows] += np.add.outer(na[lo : lo + rows], nb)
-    if same:
-        _symmetrise(D)
     flagged = []
     for lo in range(0, D.shape[0], rows):
+        block = D[lo : lo + rows]
         bound = np.add.outer(na[lo : lo + rows], nb)
+        block += bound
         bound *= _CANCELLATION_SHARE
-        flagged.append(np.flatnonzero(D[lo : lo + rows] <= bound) + lo * D.shape[1])
+        flagged.append(np.flatnonzero(block <= bound) + lo * D.shape[1])
     flagged = np.concatenate(flagged)
     # every entry at or below the bound, negatives included, is recomputed,
     # so no entry is left below zero

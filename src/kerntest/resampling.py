@@ -9,6 +9,14 @@ whole range of replicate indices at once: it derives every generator
 state of the range in one vectorised pass and reproduces these
 per-replicate generators bit for bit.
 
+Where a draw has a closed form in the generator's raw PCG64 output, the
+engines read the raw 64-bit words (``bit_generator.random_raw``) instead
+of calling the ``Generator``, with bit-identical results: the Rademacher
+sign i (``rademacher``, i.e. ``integers(0, 2)``) is the top bit of the
+stream's i-th 32-bit word, each 64-bit word giving its low half first,
+and the uniform ``random()`` is the first 64-bit word w as
+(w >> 11) * 2**-53.
+
 The decision rule: with pool = {original} u replicates of size M,
 
 * threshold = the (M - floor(alpha * M))-th order statistic of the pool,
@@ -77,13 +85,12 @@ def stream(seed: int, tag: int, index: int | range):
 
 
 def _reseeded(rng: np.random.Generator, states: list[tuple[int, int]]):
-    for state, inc in states:
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    bit_generator = rng.bit_generator
+    # one state dict, refilled per replicate: the setter copies the values out
+    full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = full["state"]
+    for pcg["state"], pcg["inc"] in states:
+        bit_generator.state = full
         yield rng
 
 

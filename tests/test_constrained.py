@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kerntest import constrained
 from kerntest.adaptive import KernelCollection, PoolConfig, pool
 from kerntest.constrained import (
     PrivacyParams,
@@ -14,7 +15,7 @@ from kerntest.constrained import (
     robust_test,
 )
 from kerntest.kernels import gaussian_kernel, gram_matrix
-from kerntest.resampling import ReplicateSpec
+from kerntest.resampling import TAG_NOISE, ReplicateSpec
 from kerntest.statistics import (
     ModelSampleData,
     PairedData,
@@ -40,6 +41,36 @@ def test_laplace_inverse_cdf_values():
         laplace_inverse_cdf(0.0)
     with pytest.raises(ValueError):
         laplace_inverse_cdf(1.0)
+    with pytest.raises(ValueError):
+        laplace_inverse_cdf(np.array([0.5, 1.0]))
+
+
+def test_laplace_inverse_cdf_on_arrays_equals_the_scalar_map_bit_for_bit():
+    # every uniform rng.random() can return, in bulk and at the ends
+    ulp = 2.0**-53
+    steps = np.arange(1, 2001) * ulp
+    u = np.concatenate([np.random.default_rng(9).random(100_000), [ulp, 0.5, 1.0 - ulp], steps, 1.0 - steps])
+    q = laplace_inverse_cdf(u)
+    assert q.shape == u.shape
+
+    def scalar(p):
+        centered = p - 0.5
+        return float(-np.sign(centered) * np.log1p(-2.0 * abs(centered)))
+
+    reference = np.array([scalar(p) for p in u.tolist()])
+    assert np.array_equal(q.view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64, 2**100])
+@pytest.mark.parametrize("count", [1, 2, 500])
+def test_noise_vector_matches_scalar_draws(seed, count):
+    scale = 0.37
+    want = []
+    for b in range(count):
+        u = np.random.default_rng(np.random.SeedSequence((seed, TAG_NOISE, b))).random()
+        want.append(scale * laplace_inverse_cdf(u if u > 0.0 else 2.0**-53))
+    got = constrained._noise_vector(seed, count, scale)
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_privacy_params_xi():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kerntest import kernels as kernels_module
 from kerntest.kernels import (
     KernelSpec,
     PointDistances,
@@ -204,6 +205,24 @@ def test_gram_exact_at_identical_points():
         assert np.array_equal(g, g.T)
         assert np.all(np.diagonal(g) == 1.0) and g[2, 7] == 1.0
         assert np.array_equal(gram_matrix(spec, pts, pts.copy()), g)
+
+
+@pytest.mark.parametrize("n", [130, 300])
+@pytest.mark.parametrize("dim", [3, 50])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6])
+@pytest.mark.parametrize("anisotropic", [False, True])
+def test_self_distances_exactly_symmetric_with_zero_diagonal(n, dim, scale, anisotropic):
+    # the BLAS path (dim >= 3) relies on As @ As.T and |a|^2 + |b|^2 being
+    # exactly symmetric; no pass averages D with its transpose
+    rng = np.random.default_rng(n + dim)
+    pts = rng.normal(size=(n, dim)) * scale + 3.0 * scale
+    pts[n - 1], pts[n // 2] = pts[0], pts[1]
+    lam = rng.uniform(0.5, 2.0, size=dim) if anisotropic else None
+    D = kernels_module._sq_distances(pts, pts, lam, True)
+    assert np.array_equal(D, D.T)
+    assert np.all(np.diagonal(D) == 0.0)
+    assert D[0, n - 1] == D[1, n // 2] == 0.0
+    assert np.all(D >= 0.0)
 
 
 def test_large_laplace_stein_matrix_memory():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +449,52 @@ def test_engines_match_per_replicate_generators(count, monkeypatch):
     permutations = [(rep.seed, TAG_REPLICATE, range(count))] * 2
     signs = [(wild.seed, TAG_REPLICATE, range(count))] * 2
     assert requested == permutations + signs + [(rep.seed, TAG_NOISE, range(count + 1))]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64, 2**100])
+@pytest.mark.parametrize("count", [1, 499])
+def test_sign_matrix_rows_are_rademacher_draws(seed, count):
+    for n in (1, 2, 3, 201, 1024):
+        signs = engines._sign_matrix(seed, count, n)
+        assert signs.shape == (count + 1, n)
+        assert np.all(signs[0] == 1.0)
+        for b in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_REPLICATE, b)))
+            assert np.array_equal(signs[b + 1], rademacher(rng, n))
+
+
+def _traced_peak(fn) -> int:
+    fn()  # the first call also sets up numpy internals
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_matrix_allocates_its_result_and_little_more():
+    count, n = 499, 2048
+    peak = _traced_peak(lambda: engines._sign_matrix(3, count, n))
+    # the B generator states take a few hundred bytes each and one
+    # replicate's raw words 4n bytes: a (B, n) temporary of any dtype breaks this
+    assert peak <= (count + 1) * n * 8 + 512 * count + 64 * n + 2**16
+
+
+def test_mmd_permutation_replicates_allocate_masks_products_and_little_more():
+    count, m = 499, 100
+    rng = np.random.default_rng(8)
+    two = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
+    two.distances.squared  # cached before tracing: it is the dataset's, not the engine's
+    rep = ReplicateSpec(count=count, seed=4)
+    peak = _traced_peak(lambda: engines.mmd_permutation_replicates(two, [gaussian_kernel(1.0)], rep, "u"))
+    rows, total = count + 1, 2 * m
+    # masks and masks @ gram, the gram, one block of masked products, the
+    # (rows, N) comparison with the original's mask as bools, the B generator
+    # states and O(rows + N) vectors: one more (rows, N) float or index array breaks this
+    allowed = 2 * rows * total * 8 + total * total * 8 + engines._GATHER_CHUNK_ELEMENTS * 8
+    allowed += rows * total + 512 * count + 64 * (rows + total) + 2**16
+    assert peak <= allowed
 
 
 def test_golden_draws_and_p_values():

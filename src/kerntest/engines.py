@@ -17,6 +17,12 @@ bit.  The original statistic is computed
 through the same arithmetic as the replicates (identity permutation,
 all-ones signs), which keeps constrained variants bit-compatible with the
 standard test they degenerate to.
+
+The permutation engines form no (N, N) matrix per replicate.  The MMD
+engine sums the gram against group masks; the HSIC engine reads the two
+doubly-centred grams and gathers, per step, a cache-sized block of rows
+of each for a chunk of replicates (``_GATHER_CHUNK_ELEMENTS``), never
+their product core.
 """
 
 from __future__ import annotations
@@ -42,18 +48,24 @@ from .statistics import (
     ModelSampleData,
     PairedData,
     TwoSampleData,
-    core_matrix_hsic,
     core_matrix_hsic_wild,
     core_matrix_ksd,
     core_matrix_mmd,
+    hsic_centered_grams,
 )
+
+# No engine calls core_matrix_hsic: the HSIC permutation engine reads the
+# centred grams and never forms their product.  It stays importable here
+# because perfbench/spans.py TARGETS wraps engines.core_matrix_hsic by name.
+from .statistics import core_matrix_hsic  # noqa: F401
 
 STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
 _CHUNK_ELEMENTS = 1 << 22
-# The HSIC permutation engine's two gathered (K, chunk, n, n) blocks, and
-# the MMD permutation engine's masked (chunk, N) products, are sized to
-# stay in cache.
+# What one step of a permutation engine gathers, sized to stay in cache
+# (512 KiB): the MMD engine's masked (rows, N) products, or the HSIC
+# engine's two blocks of (rows, chunk, n) and (chunk, rows, n) elements,
+# each half of it.
 _GATHER_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -201,35 +213,37 @@ def hsic_permutation_replicates(
     if statistic not in STATISTIC_KINDS:
         raise ValueError(f"unknown statistic kind {statistic!r}")
     n = data.n
-    cores = [core_matrix_hsic(kx, ky, data) for kx, ky in spec_pairs]
-    kc = np.stack([c.k_centered for c in cores])
-    lc = np.stack([c.l_centered for c in cores])
-    # the products h and the unstacked factors are not read here; freed, they
-    # make room for the components' cached distances
-    del cores
-    k_diag = np.einsum("kii->ki", kc).copy()
-    l_diag = np.einsum("kii->ki", lc).copy()
     perms = np.empty((rep.count + 1, n), dtype=np.intp)
     perms[0] = np.arange(n)
     for b, rng in enumerate(stream(rep.seed, TAG_REPLICATE, range(rep.count)), start=1):
         perms[b] = sample_paired_permutation(rng, n)
     inverses = np.argsort(perms, axis=1)
+    # sum_ij K[i, j] L[p_i, p_j] = sum_ik K[i, q_k] L[p_i, k] with q = p^-1:
+    # a column and a row gather in place of one scattered (i, j) gather.  A
+    # step gathers a block of rows of both factors for a chunk of replicates
+    # and writes each row's sum; a replicate's total adds its row sums in row
+    # order, so no value depends on the block or chunk size.
+    block = _GATHER_CHUNK_ELEMENTS // 2
+    rows = max(1, min(n, block // n))
+    chunk = max(1, block // (rows * n))
     vals = np.empty((len(spec_pairs), rep.count + 1))
-    chunk = max(1, _GATHER_CHUNK_ELEMENTS // (n * n * len(spec_pairs)))
-    for lo in range(0, rep.count + 1, chunk):
-        hi = min(lo + chunk, rep.count + 1)
-        p = perms[lo:hi]
-        # sum_ij K[i, j] L[p_i, p_j] = sum_ik K[i, q_k] L[p_i, k] with q = p^-1:
-        # a column and a row gather in place of one scattered (i, j) gather
-        kq = np.take(kc, inverses[lo:hi], axis=2)  # (K, n, chunk, n)
-        lp = np.take(lc, p, axis=1)  # (K, chunk, n, n)
-        total = np.einsum("kicj,kcij->kc", kq, lp)
+    row_sums = np.empty((n, rep.count + 1))
+    for k, (kx, ky) in enumerate(spec_pairs):
+        kc, lc = hsic_centered_grams(kx, ky, data)
+        for a in range(0, n, rows):
+            for lo in range(0, rep.count + 1, chunk):
+                kq = np.take(kc[a : a + rows], inverses[lo : lo + chunk], axis=1)  # (rows, chunk, n)
+                lp = np.take(lc, perms[lo : lo + chunk, a : a + rows], axis=0)  # (chunk, rows, n)
+                np.einsum("icj,cij->ic", kq, lp, out=row_sums[a : a + rows, lo : lo + chunk])
+        total = row_sums.sum(axis=0)
         if statistic == "u":
-            trace = (k_diag[:, None, :] * l_diag[:, p]).sum(axis=2)
-            vals[:, lo:hi] = (total - trace) / (n * (n - 1))
+            trace = np.diagonal(lc)[perms]
+            trace *= np.diagonal(kc)
+            vals[k] = (total - trace.sum(axis=1)) / (n * (n - 1))
         else:
             v = total / (n * n)
-            vals[:, lo:hi] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
+            vals[k] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
+        del kc, lc  # freed before the next kernel's grams are built
     return _finalize(vals)
 
 

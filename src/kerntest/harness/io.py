@@ -34,10 +34,21 @@ def _parse_cells(path: Path, r: int, record: list[str]) -> list[float]:
     return parsed
 
 
-def read_csv_matrix(path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: file not found")
+# float() rejects a cell holding one of the ASCII separators; np.loadtxt
+# strips them as whitespace
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _loadtxt_agrees(path: Path) -> bool:
+    """Whether a whole-file ``np.loadtxt`` parse can stand for the cell-by-cell
+    pass: the file holds none of the separators, and more than line breaks
+    (else loadtxt warns that it found no data)."""
+    raw = path.read_bytes()
+    return bool(raw.strip(b"\r\n")) and not any(sep in raw for sep in _SEPARATORS)
+
+
+def _read_csv_cells(path: Path) -> np.ndarray:
+    """The cell-by-cell pass, which gives every row/column diagnostic."""
     rows: list[list[float]] = []
     with path.open(newline="") as fh:
         for r, record in enumerate(csv.reader(fh), start=1):
@@ -59,6 +70,25 @@ def read_csv_matrix(path) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: empty file")
     return np.asarray(rows)
+
+
+def read_csv_matrix(path) -> np.ndarray:
+    """Parse the whole file at once; a file that parse rejects, or that holds
+    NaN/Inf, goes through the cell-by-cell pass for its diagnostic.  Both
+    read each cell to the same float."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path}: file not found")
+    if _loadtxt_agrees(path):
+        try:
+            # no encoding given: the file is decoded as the cell-by-cell pass decodes it
+            values = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if values.size and np.isfinite(values).all():
+                return values
+    return _read_csv_cells(path)
 
 
 def load_two_sample(x_path, y_path) -> TwoSampleData:

@@ -10,8 +10,10 @@ core matrix H over index pairs:
   consecutive blocks (the trailing smaller block is dropped).
 
 Two HSIC cores are provided.  ``core_matrix_hsic`` is the N x N
-doubly-centered product core used on the permutation path; permuting the
-Y component conjugates its second factor.  ``core_matrix_hsic_wild``
+doubly-centered product core of the permutation test; permuting the Y
+component conjugates its second factor, so the permutation engine reads
+the two centred factors (``hsic_centered_grams``) and never forms the
+product.  ``core_matrix_hsic_wild``
 splits the N paired samples in half and multiplies the two half-sample
 MMD cores; for that (N/2) x (N/2) core, flipping the sign of block i is
 exactly equivalent to swapping pairs i and i + N/2, which is what makes
@@ -325,9 +327,18 @@ def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> CoreMatrix:
 
 
 def _double_center(g: np.ndarray) -> np.ndarray:
-    # G - (r 1' + 1 r') + mean(G); equals C G C and stays exactly symmetric
+    # G - (r 1' + 1 r') + mean(G); equals C G C and stays exactly symmetric.
+    # Formed in one (N, N) buffer, so centring holds G and its result only.
     row = g.mean(axis=0)
-    return (g - (row[:, None] + row[None, :])) + g.mean()
+    out = row[:, None] + row[None, :]
+    np.subtract(g, out, out=out)
+    out += g.mean()
+    return out
+
+
+def hsic_centered_grams(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> tuple[np.ndarray, np.ndarray]:
+    """The doubly-centered grams C K C and C L C of the X and Y components."""
+    return _double_center(data.x_distances.gram(kx)), _double_center(data.y_distances.gram(ky))
 
 
 def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> HsicCoreMatrix:
@@ -336,8 +347,7 @@ def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> HsicCo
     Used with permutations of the Y component; Y-permutations act on the
     second factor by row/column conjugation.
     """
-    kc = _double_center(data.x_distances.gram(kx))
-    lc = _double_center(data.y_distances.gram(ky))
+    kc, lc = hsic_centered_grams(kx, ky, data)
     bound = core_bound((kx, ky), data)
     return HsicCoreMatrix(h=kc * lc, kernel_bound=bound, framework="hsic", k_centered=kc, l_centered=lc)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from kerntest import kernels as kernels_module
 from kerntest.errors import ConfigError, DataError
 from kerntest.harness import experiments, run
+from kerntest.harness import io as harness_io
 from kerntest.harness.cli import main
 from kerntest.harness.config import ExperimentConfig, parse_config_file
 from kerntest.harness.experiments import report_json, run_experiment
@@ -57,6 +59,82 @@ def test_ragged_and_nonnumeric_and_empty(tmp_path):
         read_csv_matrix(empty)
     with pytest.raises(DataError, match="not found"):
         read_csv_matrix(tmp_path / "missing.csv")
+
+
+_CSV_CASES = {
+    "quoted": '"1.5",2\n3,"-4e2"\n',
+    "crlf": "1,2\r\n3,4\r\n",
+    "bare_cr": "1,2\r3,4\r",
+    "no_final_newline": "1,2\n3,4",
+    "blank_lines": "\n1,2\n\n\n3,4\n\n",
+    "whitespace_lines": "1,2\n   \n\t\n3,4\n",
+    "comma_lines": "1,2\n,,,\n , \n3,4\n",
+    "padded_cells": " 1 ,\t2 \n3 , 4\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "hash_cell": "1,#\n",
+    "hash_line": "# x, y\n1,2\n",
+    "underscore": "1_000,2\n3,4\n",
+    "nan": "1,2\nnan,4\n",
+    "inf": "1,inf\n",
+    "minus_infinity": "1,2\n3,-Infinity\n",
+    "overflow_to_inf": "1e400,2\n",
+    "single_row": "1,2,3\n",
+    "single_column": "1\n2\n3\n",
+    "single_cell": "7.25",
+    "overflowing_row_sum": "1e308,1e308\n-1e308,1\n",
+    "subnormal": "5e-324,1e-320\n0.1,0.30000000000000004\n",
+    "ragged": "1,2\n3\n",
+    "non_numeric": "1.0,x\n",
+    "hex": "0x10,1\n",
+    "separator": "1\x1c,2\n",
+    "nbsp": "\xa01,2\n",
+    "arabic_digits": "\u0661,2\n",
+    "bom": "\ufeff1,2\n",
+    "empty": "",
+    "only_newlines": "\n\r\n\n",
+    "only_whitespace": "  \n\t\n",
+    "only_commas": ",,,\n,\n",
+}
+
+
+def _csv_outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_read_csv_matrix_agrees_with_the_cell_by_cell_pass(case, tmp_path):
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(_CSV_CASES[case].encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _csv_outcome(read_csv_matrix, path)
+    assert caught == []
+    want = _csv_outcome(harness_io._read_csv_cells, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_read_csv_matrix_parses_plain_files_whole_to_the_floats_of_float(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    values = rng.normal(scale=10.0 ** rng.integers(-30, 30, size=(40, 6)))
+    # full-precision and six-digit cells, alternating
+    cells = [[repr(float(v)) if (i + j) % 2 else f"{v:.6g}" for j, v in enumerate(row)]
+             for i, row in enumerate(values)]
+    path = tmp_path / "plain.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in cells))
+
+    def refuse(path):
+        raise AssertionError("a plain numeric file went through the cell-by-cell pass")
+
+    monkeypatch.setattr(harness_io, "_read_csv_cells", refuse)
+    got = read_csv_matrix(path)
+    assert np.array_equal(got, [[float(cell) for cell in row] for row in cells])
 
 
 def test_load_model_sample_with_score_file(tmp_path):

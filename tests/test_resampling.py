@@ -497,6 +497,107 @@ def test_mmd_permutation_replicates_allocate_masks_products_and_little_more():
     assert peak <= allowed
 
 
+def _hsic_case(n, kernels):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 2))
+    data = PairedData.from_parts(x, 0.5 * x[:, :1] + rng.normal(size=(n, 1)))
+    pairs = [(gaussian_kernel(0.6 + 0.5 * k), gaussian_kernel(0.8 + 0.4 * k)) for k in range(kernels)]
+    return data, pairs
+
+
+def _hsic_permutations(rep, n):
+    perms = [np.arange(n)]
+    perms += [sample_paired_permutation(rng, n) for rng in stream(rep.seed, TAG_REPLICATE, range(rep.count))]
+    return perms
+
+
+def _full_gather_replicates(data, pairs, rep, statistic):
+    """The engine as it was before row blocking: both centred grams stacked
+    over kernels and gathered whole, (K, chunk, n, n) at a time."""
+    n = data.n
+    cores = [core_matrix_hsic(kx, ky, data) for kx, ky in pairs]
+    kc = np.stack([c.k_centered for c in cores])
+    lc = np.stack([c.l_centered for c in cores])
+    k_diag = np.einsum("kii->ki", kc).copy()
+    l_diag = np.einsum("kii->ki", lc).copy()
+    perms = np.array(_hsic_permutations(rep, n))
+    inverses = np.argsort(perms, axis=1)
+    vals = np.empty((len(pairs), rep.count + 1))
+    chunk = max(1, (1 << 16) // (n * n * len(pairs)))
+    for lo in range(0, rep.count + 1, chunk):
+        hi = min(lo + chunk, rep.count + 1)
+        p = perms[lo:hi]
+        kq = np.take(kc, inverses[lo:hi], axis=2)
+        lp = np.take(lc, p, axis=1)
+        total = np.einsum("kicj,kcij->kc", kq, lp)
+        if statistic == "u":
+            trace = (k_diag[:, None, :] * l_diag[:, p]).sum(axis=2)
+            vals[:, lo:hi] = (total - trace) / (n * (n - 1))
+        else:
+            v = total / (n * n)
+            vals[:, lo:hi] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
+    return vals[:, 0], vals[:, 1:]
+
+
+@pytest.mark.parametrize("kernels", [1, 3])
+@pytest.mark.parametrize("n", [20, 181, 182, 300])
+def test_hsic_permutation_engine_matches_full_matrix_statistics(n, kernels):
+    # up to n = 181 a gather block holds all rows; from 182 on it holds fewer,
+    # and at 182 and 300 they do not divide n
+    data, pairs = _hsic_case(n, kernels)
+    rep = ReplicateSpec(count=19, seed=5)
+    perms = _hsic_permutations(rep, n)
+    # (K, B + 1) values per statistic kind, the original first
+    got = {
+        kind: np.column_stack(engines.hsic_permutation_replicates(data, pairs, rep, kind))
+        for kind in engines.STATISTIC_KINDS
+    }
+    for k, (kx, ky) in enumerate(pairs):
+        core = core_matrix_hsic(kx, ky, data)
+        np.testing.assert_allclose(got["u"][k], [permuted_statistic(core, p) for p in perms], rtol=1e-13)
+        sums = [np.einsum("ij,ij->", core.k_centered, core.l_centered[np.ix_(p, p)]) for p in perms]
+        np.testing.assert_allclose(got["v"][k], np.divide(sums, n * n), rtol=1e-13)
+        np.testing.assert_allclose(got["sqrt_v"][k], np.sqrt(np.divide(sums, n * n)), rtol=1e-13)
+
+
+@pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
+@pytest.mark.parametrize("n", [20, 181])
+def test_hsic_permutation_engine_single_kernel_values_are_unchanged(n, statistic):
+    data, pairs = _hsic_case(n, 1)
+    rep = ReplicateSpec(count=99, seed=6)
+    got = engines.hsic_permutation_replicates(data, pairs, rep, statistic)
+    for g, w in zip(got, _full_gather_replicates(data, pairs, rep, statistic), strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_hsic_permutation_engine_values_do_not_depend_on_the_gather_budget(monkeypatch):
+    data, pairs = _hsic_case(300, 2)
+    rep = ReplicateSpec(count=24, seed=7)
+    want = engines.hsic_permutation_replicates(data, pairs, rep, "u")
+    for budget in (2, 2**10, 2**22):  # one row of one replicate, a few rows, every row of 23 replicates
+        monkeypatch.setattr(engines, "_GATHER_CHUNK_ELEMENTS", budget)
+        got = engines.hsic_permutation_replicates(data, pairs, rep, "u")
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("statistic", ["u", "sqrt_v"])
+def test_hsic_permutation_replicates_gather_blocks_not_matrices(statistic, monkeypatch):
+    count, n = 199, 512
+    data, pairs = _hsic_case(n, 1)
+    grams = engines.hsic_centered_grams(*pairs[0], data)
+    # the centred grams are built before tracing, so the peak is the engine's own
+    monkeypatch.setattr(engines, "hsic_centered_grams", lambda kx, ky, data: grams)
+    rep = ReplicateSpec(count=count, seed=4)
+    peak = _traced_peak(lambda: engines.hsic_permutation_replicates(data, pairs, rep, statistic))
+    rows = count + 1
+    # perms, their inverses, the per-row sums and the u trace's diagonal
+    # products, two gathered blocks, the B generator states and O(rows + n)
+    # vectors: one (n, n) temporary, or the grams stacked, breaks this
+    allowed = 4 * rows * n * 8 + engines._GATHER_CHUNK_ELEMENTS * 8 + 512 * count + 64 * (rows + n) + 2**16
+    assert peak <= allowed
+
+
 def test_golden_draws_and_p_values():
     # Integer draws and p-value counts pinned from the per-replicate streams;
     # any change to the replicate draws changes them.

@@ -19,10 +19,13 @@ all-ones signs), which keeps constrained variants bit-compatible with the
 standard test they degenerate to.
 
 The permutation engines form no (N, N) matrix per replicate.  The MMD
-engine sums the gram against group masks; the HSIC engine reads the two
-doubly-centred grams and gathers, per step, a cache-sized block of rows
-of each for a chunk of replicates (``_GATHER_CHUNK_ELEMENTS``), never
-their product core.
+engine holds no gram either: it makes the gram a block of rows at a time
+from the dataset's distance cache and multiplies each block into the
+(B + 1, N) masked products, so a test holds the cache and
+O(block + B N) beside it.  The HSIC engine reads the two doubly-centred
+grams and gathers, per step, a cache-sized block of rows of each for a
+chunk of replicates (``_GATHER_CHUNK_ELEMENTS``), never their product
+core.
 """
 
 from __future__ import annotations
@@ -63,10 +66,17 @@ STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
 _CHUNK_ELEMENTS = 1 << 22
 # What one step of a permutation engine gathers, sized to stay in cache
-# (512 KiB): the MMD engine's masked (rows, N) products, or the HSIC
-# engine's two blocks of (rows, chunk, n) and (chunk, rows, n) elements,
-# each half of it.
+# (512 KiB): the MMD engine's block of gram rows (at least
+# _GRAM_BLOCK_MIN_ROWS of them) or its masked (rows, N) products, or the
+# HSIC engine's two blocks of (rows, chunk, n) and (chunk, rows, n)
+# elements, each half of it.
 _GATHER_CHUNK_ELEMENTS = 1 << 16
+# Fewest gram rows in one block of the MMD engine: BLAS packs all of the
+# masks for every block's product.  At B = 199 (1 BLAS thread) the engine
+# with 128-row blocks was as fast as with the whole gram for N = 1024 to
+# 4096; 64-row blocks made it 8% slower at N = 1024, and 16-row blocks a
+# third slower at N = 4096.
+_GRAM_BLOCK_MIN_ROWS = 128
 
 
 def framework_of(data) -> str:
@@ -150,6 +160,20 @@ def _finalize(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, 0].copy(), vals[:, 1:].copy()
 
 
+def _gram_row_blocks(m: int, n: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) that tile the (N, N) merged gram, N = m + n.
+
+    The whole gram is one block when it fits ``_GATHER_CHUNK_ELEMENTS``.
+    Otherwise [0, m) and [m, N) are each cut into blocks of one height, so
+    that two samples of one size are tiled alike.
+    """
+    total = m + n
+    if total * total <= _GATHER_CHUNK_ELEMENTS:
+        return [(0, total)]
+    height = max(_GRAM_BLOCK_MIN_ROWS, _GATHER_CHUNK_ELEMENTS // total)
+    return [(a, min(a + height, hi)) for lo, hi in ((0, m), (m, total)) for a in range(lo, hi, height)]
+
+
 def mmd_permutation_replicates(
     data: TwoSampleData, specs: list[KernelSpec], rep: ReplicateSpec, statistic: str = "sqrt_v"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +192,30 @@ def mmd_permutation_replicates(
         row[sample_two_sample_permutation(rng, m, n)[:m]] = 1.0
     same = np.flatnonzero((masks == masks[0]).all(axis=1))
     vals = np.empty((len(specs), rep.count + 1))
+    gm, diag = np.empty((rep.count + 1, total)), np.empty(total)
+    blocks = _gram_row_blocks(m, n)
     # the masked products are formed a block of replicates at a time, so
     # that no third (B + 1, N) array sits next to the masks and gm; a row's
     # sum does not depend on its block
     rows = max(1, _GATHER_CHUNK_ELEMENTS // total)
     for k, spec in enumerate(specs):
-        gram = data.distances.gram(spec)
-        gm = masks @ gram
+        # the gram is never held whole: gm, its diagonal and the sums of its
+        # X-X, X-Y and Y-Y parts are read from blocks of its rows, each made
+        # from the distance cache.  The gram is symmetric, so rows a:b
+        # transposed are its columns a:b; the whole gram is multiplied as it
+        # is, since BLAS may round a product with a transposed factor
+        # differently
+        xx = xy = yy = whole = 0.0
+        for a, b in blocks:
+            g = data.distances.gram(spec, slice(a, b))
+            np.matmul(masks, g if len(blocks) == 1 else g.T, out=gm[:, a:b])
+            diag[a:b] = np.diagonal(g[:, a:b])
+            whole += g.sum()
+            y_start = max(0, m - a)  # the block's first row of Y
+            xx += g[:y_start, :m].sum()
+            xy += g[:y_start, m:].sum()
+            yy += g[y_start:, m:].sum()
+            del g  # freed before the next block is made
         s_xx, s_xy = np.empty(rep.count + 1), np.empty(rep.count + 1)
         for lo in range(0, rep.count + 1, rows):
             within = gm[lo : lo + rows] * masks[lo : lo + rows]
@@ -182,14 +223,13 @@ def mmd_permutation_replicates(
             # masks are 0/1 and gm >= 0, so gm - gm * masks is exactly gm * (1 - masks)
             np.subtract(gm[lo : lo + rows], within, out=within)
             s_xy[lo : lo + rows] = within.sum(axis=1)
-        s_yy = gram.sum() - s_xx - 2.0 * s_xy
+        s_yy = whole - s_xx - 2.0 * s_xy
         # the original's sums are read from the gram's blocks, so samples with
         # identical halves give equal sums and a statistic of exactly 0; the
         # replicates that keep the original labelling get the same sums, so
         # they tie with it exactly
-        s_xx[same], s_xy[same], s_yy[same] = gram[:m, :m].sum(), gram[:m, m:].sum(), gram[m:, m:].sum()
+        s_xx[same], s_xy[same], s_yy[same] = xx, xy, yy
         if statistic == "u":
-            diag = np.diagonal(gram)
             d_x = masks @ diag
             d_y = diag.sum() - d_x
             vals[k] = (

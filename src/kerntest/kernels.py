@@ -183,6 +183,9 @@ _CANCELLATION_SHARE = 2.0**-6
 _RECOMPUTE_ELEMENTS = 1 << 16
 # Cap on the entries of a row block of an (m, n) temporary.
 _ROW_BLOCK_ELEMENTS = 1 << 13
+# Cap on the entries of a row block of the low-dimensional distance pass;
+# up to 128 points, one block covers the whole (n, n) matrix.
+_DISTANCE_BLOCK_ELEMENTS = 1 << 14
 # Side of the square tiles in which a Stein matrix is symmetrised.
 _SYMMETRISE_TILE = 128
 # Below this dimension, accumulating squared coordinate differences takes
@@ -266,19 +269,28 @@ def _accumulated_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray | None,
     """sum_i t_i^2 (``square``) or sum_i |t_i| with t_i = (a_i - b_i) / lam_i, shape (m, n);
     unscaled (``lam_i = 1``) when ``lam`` is None.
 
-    Accumulated one dimension at a time into one (m, n) buffer.
+    Accumulated one dimension at a time into one (m, n) buffer, a block of
+    rows at a time, so each block is written while it is in cache.  The
+    first dimension's term is written in place of adding it to zeros,
+    which is the same value, so every entry is the same sum in the same
+    order whatever the block size.
     """
     D = np.zeros((A.shape[0], B.shape[0]))
-    U = np.empty_like(D)
-    for i in range(A.shape[1]):
-        np.subtract.outer(A[:, i], B[:, i], out=U)
-        if lam is not None:
-            U /= lam[i]
-        if square:
-            np.multiply(U, U, out=U)
-        else:
-            np.abs(U, out=U)
-        D += U
+    rows = max(1, _DISTANCE_BLOCK_ELEMENTS // max(1, B.shape[0]))
+    U = np.empty((min(rows, A.shape[0]), B.shape[0])) if A.shape[1] > 1 else None
+    for lo in range(0, A.shape[0], rows):
+        block = D[lo : lo + rows]
+        for i in range(A.shape[1]):
+            term = block if i == 0 else U[: block.shape[0]]
+            np.subtract.outer(A[lo : lo + rows, i], B[:, i], out=term)
+            if lam is not None:
+                term /= lam[i]
+            if square:
+                np.multiply(term, term, out=term)
+            else:
+                np.abs(term, out=term)
+            if i > 0:
+                block += term
     return D
 
 
@@ -619,7 +631,14 @@ def _upper_squared(points) -> tuple[np.ndarray, int]:
     n = dists.points.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
-    vals = dists.squared[~np.tri(n, dtype=bool)]
+    squared = dists.squared
+    # row by row into one array: the same values in the same order as a
+    # boolean mask of the triangle picks them, without the (n, n) mask
+    vals = np.empty(n * (n - 1) // 2)
+    end = 0
+    for i in range(n - 1):
+        start, end = end, end + n - 1 - i
+        vals[start:end] = squared[i, i + 1 :]
     zeros = vals.size - np.count_nonzero(vals)
     if zeros == vals.size:
         raise ValueError("all points are identical: no positive pairwise distance")

@@ -33,6 +33,10 @@ from .kernels import KernelSpec, PointDistances, ScoreField
 
 FRAMEWORKS = ("mmd", "hsic", "ksd")
 
+# Cap on the entries of one (rows, N) block of gram rows from which the
+# pair-split core is written (256 KiB).
+_CORE_BLOCK_ELEMENTS = 1 << 15
+
 
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
@@ -294,13 +298,28 @@ class DesignSet:
 
 def _pair_split_mmd_core(spec: KernelSpec, dists: PointDistances, half: int) -> np.ndarray:
     """Core k(a_i,a_j) - k(a_i,b_j) - k(a_j,b_i) + k(b_i,b_j) for the pairs
-    (a_i, b_i) = (P_i, P_{half+i}) of the points P behind ``dists``."""
+    (a_i, b_i) = (P_i, P_{half+i}) of the points P behind ``dists``.
+
+    Written into one (half, half) array a block of rows at a time, from
+    gram blocks made from the distance cache.  k(a_j, b_i) is read from the
+    cache's (b, a) block; the cache is exactly symmetric, so that block is
+    the transpose of the (a, b) block bit for bit, and the core is exactly
+    symmetric.  (An anisotropic bandwidth has no cache, and its core is
+    symmetric up to rounding.)
+    """
     first, second = slice(None, half), slice(half, None)
-    kaa = dists.gram(spec, first, first)
-    kbb = dists.gram(spec, second, second)
-    kab = dists.gram(spec, first, second)
-    cross = kab + kab.T  # symmetric by commutativity, keeps H exactly symmetric
-    return kaa - cross + kbb
+    h = np.empty((half, half))
+    rows = max(1, _CORE_BLOCK_ELEMENTS // (2 * half))
+    for lo in range(0, half, rows):
+        hi = min(lo + rows, half)
+        # rows i of k(a, .) and k(b, .): [kaa | kab] and [kba | kbb]
+        ga = dists.gram(spec, slice(lo, hi))
+        gb = dists.gram(spec, slice(half + lo, half + hi))
+        cross = ga[:, second] + gb[:, first]
+        out = h[lo:hi]
+        np.subtract(ga[:, first], cross, out=out)
+        out += gb[:, second]
+    return h
 
 
 def core_bound(entry, data: TwoSampleData | PairedData) -> float:
@@ -364,9 +383,9 @@ def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> C
     if data.n % 2 != 0:
         raise ValueError("the wild-bootstrap HSIC core requires an even number of pairs")
     n = data.n // 2
-    hx = _pair_split_mmd_core(kx, data.x_distances, n)
-    hy = _pair_split_mmd_core(ky, data.y_distances, n)
-    return CoreMatrix(h=hx * hy, kernel_bound=core_bound((kx, ky), data), framework="hsic")
+    h = _pair_split_mmd_core(kx, data.x_distances, n)
+    h *= _pair_split_mmd_core(ky, data.y_distances, n)
+    return CoreMatrix(h=h, kernel_bound=core_bound((kx, ky), data), framework="hsic")
 
 
 def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:

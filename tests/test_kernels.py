@@ -225,6 +225,24 @@ def test_self_distances_exactly_symmetric_with_zero_diagonal(n, dim, scale, anis
     assert np.all(D >= 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("square", [True, False])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_accumulated_distances_in_row_blocks_equal_one_whole_pass(dim, square, scaled):
+    rng = np.random.default_rng(49)
+    a, b = rng.normal(size=(300, dim)) * 1e3, rng.normal(size=(170, dim))
+    lam = rng.uniform(0.5, 2.0, size=dim) if scaled else None
+    assert 1 < kernels_module._DISTANCE_BLOCK_ELEMENTS // b.shape[0] < a.shape[0]
+    # the pass as one (m, n) temporary per dimension, added to zeros
+    want = np.zeros((a.shape[0], b.shape[0]))
+    for i in range(dim):
+        u = np.subtract.outer(a[:, i], b[:, i])
+        if scaled:
+            u /= lam[i]
+        want += u * u if square else np.abs(u)
+    assert np.array_equal(kernels_module._accumulated_distances(a, b, lam, square), want)
+
+
 def test_large_laplace_stein_matrix_memory():
     # the difference form holds (n, n, d) gradients, 400 MiB at 1024 x 50
     pts = np.random.default_rng(46).normal(size=(1024, 50))
@@ -248,6 +266,21 @@ def test_large_gram_and_bandwidth_memory():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20
+
+
+def test_median_heuristic_holds_one_triangle_of_distances():
+    n = 1024
+    dists = PointDistances(np.random.default_rng(47).normal(size=(n, 5)))
+    dists.squared  # cached before tracing: it is the point set's, not the rule's
+    median_heuristic(dists)  # the first call also sets up numpy internals
+    tracemalloc.start()
+    try:
+        median_heuristic(dists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the strict upper triangle and O(n): an (n, n) boolean mask, 1 MiB, breaks this
+    assert peak <= n * (n - 1) // 2 * 8 + 64 * n + 2**16
 
 
 # --- bandwidth selection ---------------------------------------------------

@@ -9,7 +9,7 @@ from kerntest import constrained, engines
 from kerntest.engines import collection_replicates
 from kerntest.harness import run as harness_run
 from kerntest.harness.generators import builtin_generator
-from kerntest.kernels import gaussian_kernel
+from kerntest.kernels import gaussian_kernel, imq_kernel, laplace_kernel
 from kerntest.resampling import (
     TAG_CELL,
     TAG_DATA,
@@ -414,6 +414,107 @@ def test_mmd_permutation_statistic_of_identical_samples_is_zero():
     assert original[0] == 0.0
 
 
+def _full_gram_mmd_replicates(data, specs, rep, statistic):
+    """The MMD permutation engine with the whole gram held: one product
+    with the masks and the original's sums read from the gram's blocks."""
+    m, n = data.m, data.n
+    masks = np.zeros((rep.count + 1, m + n))
+    masks[0, :m] = 1.0
+    for row, rng in zip(masks[1:], stream(rep.seed, TAG_REPLICATE, range(rep.count))):
+        row[sample_two_sample_permutation(rng, m, n)[:m]] = 1.0
+    same = (masks == masks[0]).all(axis=1)
+    vals = []
+    for spec in specs:
+        gram = data.distances.gram(spec)
+        gm = masks @ gram
+        s_xx = (gm * masks).sum(axis=1)
+        s_xy = (gm - gm * masks).sum(axis=1)
+        s_yy = gram.sum() - s_xx - 2.0 * s_xy
+        s_xx[same], s_xy[same], s_yy[same] = gram[:m, :m].sum(), gram[:m, m:].sum(), gram[m:, m:].sum()
+        if statistic == "u":
+            d_x = masks @ np.diagonal(gram)
+            d_y = np.diagonal(gram).sum() - d_x
+            vals.append((s_xx - d_x) / (m * (m - 1)) + (s_yy - d_y) / (n * (n - 1)) - 2.0 * s_xy / (m * n))
+        else:
+            v = s_xx / (m * m) + s_yy / (n * n) - 2.0 * s_xy / (m * n)
+            vals.append(np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v)
+    vals = np.array(vals)
+    return vals[:, 0], vals[:, 1:]
+
+
+def _mmd_case(m, n, kernels, dim=3):
+    rng = np.random.default_rng(m + n)
+    data = TwoSampleData(rng.normal(size=(m, dim)), rng.normal(size=(n, dim)) + 0.3)
+    specs = [gaussian_kernel(1.0 + 0.7 * k) for k in range(kernels)]
+    return data, specs
+
+
+@pytest.mark.parametrize(
+    "m, n, height",
+    [(17, 23, None), (17, 23, 7), (100, 156, None), (130, 127, None), (500, 530, None)],
+)
+@pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
+@pytest.mark.parametrize("kernels", [1, 3])
+def test_mmd_permutation_gram_blocks_match_the_whole_gram(m, n, height, statistic, kernels, monkeypatch):
+    if height is not None:
+        monkeypatch.setattr(engines, "_GATHER_CHUNK_ELEMENTS", height * (m + n))
+        monkeypatch.setattr(engines, "_GRAM_BLOCK_MIN_ROWS", 1)
+    blocks = engines._gram_row_blocks(m, n)
+    # N <= 256 is one block unless the block size is patched; otherwise X
+    # and Y are tiled apart and some block is cut short
+    assert (len(blocks) == 1) == (m + n <= 256 and height is None)
+    if len(blocks) > 1:
+        assert m in {a for a, _ in blocks} and len({b - a for a, b in blocks}) > 1
+    data, specs = _mmd_case(m, n, kernels)
+    rep = ReplicateSpec(count=29, seed=9)
+    got = engines.mmd_permutation_replicates(data, specs, rep, statistic)
+    want = _full_gram_mmd_replicates(data, specs, rep, statistic)
+    for g, w in zip(got, want, strict=True):
+        if len(blocks) == 1:
+            np.testing.assert_array_equal(g, w)
+        else:
+            # u values are differences of terms of order one, the kernel bound:
+            # near zero only an absolute tolerance is meaningful
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_mmd_permutation_statistic_of_identical_samples_is_zero_in_blocks(dim):
+    x = np.random.default_rng(7).normal(size=(300, dim))
+    assert len(engines._gram_row_blocks(300, 300)) > 2
+    specs = [gaussian_kernel(1.1), imq_kernel(0.9), laplace_kernel(1.7)]
+    for statistic in ("v", "sqrt_v"):
+        original, _ = engines.mmd_permutation_replicates(
+            TwoSampleData(x, x), specs, ReplicateSpec(count=9, seed=1), statistic
+        )
+        assert np.all(original == 0.0)
+
+
+@pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
+def test_mmd_permutation_replicates_with_the_original_labelling_tie_exactly_in_blocks(statistic, monkeypatch):
+    # at N > 256 a drawn labelling almost never keeps the original's, so
+    # every third replicate is made to shuffle within the two groups only
+    m, n = 300, 340
+    assert len(engines._gram_row_blocks(m, n)) > 2
+    calls = []
+
+    def sample(rng, m, n):
+        perm = sample_two_sample_permutation(rng, m, n)
+        calls.append(len(calls) % 3 == 0)
+        if calls[-1]:
+            perm = np.concatenate([rng.permutation(m), m + rng.permutation(n)])
+        return perm
+
+    monkeypatch.setattr(engines, "sample_two_sample_permutation", sample)
+    data, specs = _mmd_case(m, n, 2)
+    original, replicates = engines.mmd_permutation_replicates(data, specs, ReplicateSpec(count=30, seed=2), statistic)
+    kept = np.array(calls)
+    assert kept.sum() == 10
+    for k in range(len(specs)):
+        np.testing.assert_array_equal(replicates[k][kept], original[k])
+        assert np.all(replicates[k][~kept] != original[k])
+
+
 @pytest.mark.parametrize("count", [1, 99])
 def test_engines_match_per_replicate_generators(count, monkeypatch):
     rng = np.random.default_rng(21)
@@ -493,6 +594,24 @@ def test_mmd_permutation_replicates_allocate_masks_products_and_little_more():
     # (rows, N) comparison with the original's mask as bools, the B generator
     # states and O(rows + N) vectors: one more (rows, N) float or index array breaks this
     allowed = 2 * rows * total * 8 + total * total * 8 + engines._GATHER_CHUNK_ELEMENTS * 8
+    allowed += rows * total + 512 * count + 64 * (rows + total) + 2**16
+    assert peak <= allowed
+
+
+def test_mmd_permutation_replicates_hold_no_gram_at_n_1024():
+    count, m = 199, 512
+    rng = np.random.default_rng(9)
+    two = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
+    two.distances.squared  # cached before tracing: it is the dataset's, not the engine's
+    rep = ReplicateSpec(count=count, seed=4)
+    peak = _traced_peak(lambda: engines.mmd_permutation_replicates(two, [gaussian_kernel(1.0)], rep, "u"))
+    rows, total = count + 1, 2 * m
+    height = max(engines._GRAM_BLOCK_MIN_ROWS, engines._GATHER_CHUNK_ELEMENTS // total)
+    # masks and gm, one block of gram rows, one block of masked products, the
+    # (rows, N) comparison with the original's mask as bools, the B generator
+    # states and O(rows + N) vectors: the (N, N) gram, 8 MiB, or a second
+    # block of gram rows breaks this
+    allowed = 2 * rows * total * 8 + (height * total + engines._GATHER_CHUNK_ELEMENTS) * 8
     allowed += rows * total + 512 * count + 64 * (rows + total) + 2**16
     assert peak <= allowed
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kerntest import statistics
 from kerntest.kernels import eval_kernel, gaussian_kernel, imq_kernel, laplace_kernel, standard_gaussian_score
 from kerntest.statistics import (
     CoreMatrix,
@@ -382,3 +384,42 @@ def test_wild_cores_are_blocks_of_the_cached_grams(spec):
     assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 8))
     hsic = core_matrix_hsic_wild(spec, spec, PairedData.from_parts(x, y))
     assert np.array_equal(hsic.h, pair_core(x, 4) * pair_core(y, 4))
+
+
+@pytest.mark.parametrize("spec", [gaussian_kernel(1.3), laplace_kernel(2.0, normalized=True)])
+def test_wild_cores_written_in_row_blocks_equal_the_whole_gram_formula(spec):
+    # several blocks of rows, the last one cut short, for both cores
+    rng = np.random.default_rng(53)
+    x, y = rng.normal(size=(300, 3)), rng.normal(size=(300, 3)) + 0.5
+    for half in (300, 150):
+        rows = statistics._CORE_BLOCK_ELEMENTS // (2 * half)
+        assert 1 < rows < half and half % rows
+
+    def pair_core(points, half):
+        g = gram_matrix(spec, points, points)
+        kab = g[:half, half:]
+        return g[:half, :half] - (kab + kab.T) + g[half:, half:]
+
+    mmd = core_matrix_mmd(spec, TwoSampleData(x, y))
+    assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 300))
+    assert np.array_equal(mmd.h, mmd.h.T)
+    hsic = core_matrix_hsic_wild(spec, spec, PairedData.from_parts(x, y))
+    assert np.array_equal(hsic.h, pair_core(x, 150) * pair_core(y, 150))
+    assert np.array_equal(hsic.h, hsic.h.T)
+
+
+def test_mmd_wild_core_holds_its_output_and_a_few_row_blocks():
+    m = 512
+    rng = np.random.default_rng(54)
+    data = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
+    data.distances.squared  # cached before tracing: it is the dataset's, not the core's
+    core_matrix_mmd(GAUSS, data)  # the first call also sets up numpy internals
+    tracemalloc.start()
+    try:
+        core_matrix_mmd(GAUSS, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (m, m) output and at most four blocks of gram rows; any second
+    # (m, m) array, 2 MiB, breaks this
+    assert peak <= m * m * 8 + 4 * statistics._CORE_BLOCK_ELEMENTS * 8 + 2**16

@@ -18,7 +18,7 @@ from ..adaptive import (
 )
 from ..constrained import PrivacyParams, RobustParams, dp_test, robust_test
 from ..errors import ConfigError, DataError, reported_as
-from ..kernels import KernelSpec, bandwidth_grid, median_heuristic
+from ..kernels import STEIN_FAMILIES, KernelSpec, bandwidth_grid, median_heuristic
 from ..resampling import ReplicateSpec, TestResult
 from ..statistics import FRAMEWORKS, ModelSampleData, PairedData, TwoSampleData
 from ..testing import goodness_of_fit_test, independence_test, two_sample_test
@@ -159,6 +159,11 @@ def validate_setup(setup: TestSetup) -> CheckedSetup:
         if setup.adapt.startswith("pool:"):
             pool = PoolConfig(method=setup.adapt.split(":", 1)[1], nu=setup.nu, normalized=setup.normalized)
         kernel = _kernel_template(setup, value if mode == "fixed" else 1.0)
+        if setup.framework == "ksd" and kernel.family not in STEIN_FAMILIES:
+            raise ConfigError(
+                f"the {kernel.family} kernel has no Stein kernel (it is not differentiable); "
+                f"goodness-of-fit testing takes --kernel {' or '.join(STEIN_FAMILIES)}"
+            )
     return CheckedSetup(rep, kernel, (mode, value), pool, privacy, robust)
 
 

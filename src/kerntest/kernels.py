@@ -16,12 +16,16 @@ bounded forms are
 * laplace:   ``exp(-sum(|t_i|))``
 * imq:       ``(1 + sum(t_i^2))^(-beta)``  with ``beta in (1/2, 1)``
 
-First and mixed second derivatives are computed analytically per family;
-finite differences are used only as a test oracle.  The Laplace kernel is
-not differentiable on coordinate-coincidence sets; its derivatives here
-are the almost-everywhere expressions with the ``sign(0) = 0`` convention,
-so a Laplace Stein matrix is not positive semi-definite in general (the
-Gaussian and IMQ Stein matrices are).
+A Stein kernel needs a base kernel that is continuously differentiable in
+both arguments, so only the families in ``STEIN_FAMILIES`` have one.  The
+Laplace kernel is not differentiable where two points share a coordinate,
+and the mixed second derivative of ``exp(-|t|)`` has a Dirac part at
+``t = 0``; a Stein kernel built from its almost-everywhere derivatives
+does not have mean zero under the model.  So the Stein and derivative
+builders raise ``ValueError`` for it, and Laplace is a kernel for grams,
+MMD and HSIC only.  First and mixed second derivatives of the Gaussian and
+IMQ kernels are computed analytically; finite differences are used only as
+a test oracle.
 
 Precision contract of the matrix builders.  A point set has one pass of
 unscaled squared Euclidean distances, kept in its ``PointDistances`` (a
@@ -55,8 +59,7 @@ Bandwidths are read from order statistics of the squared distances: one
 single-kth partition per median or quantile finds the one or two that
 ``np.median`` or ``np.quantile`` would read, and only those are
 square-rooted.  ``sqrt`` is monotone and correctly rounded, so the result
-equals numpy's on the square-rooted distances bit for bit.  Laplace Stein
-matrices accumulate over the dimensions in (n, n) buffers; only the
+equals numpy's on the square-rooted distances bit for bit.  Only the
 derivative matrices, behind the scalar oracle ``stein_kernel``, form
 (m, n, d) tensors.
 """
@@ -71,6 +74,8 @@ from typing import Callable
 import numpy as np
 
 FAMILIES = ("gaussian", "laplace", "imq")
+# the families with a Stein kernel: those continuously differentiable in both arguments
+STEIN_FAMILIES = ("gaussian", "imq")
 
 DEFAULT_IMQ_EXPONENT = 0.75
 
@@ -405,15 +410,22 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     return float(gram_matrix(spec, x[None, :], y[None, :])[0, 0])
 
 
+def _require_stein(spec: KernelSpec) -> None:
+    """Raise ValueError unless the family has a Stein kernel (see the module docstring)."""
+    if spec.family not in STEIN_FAMILIES:
+        raise ValueError(
+            f"the {spec.family} kernel is not differentiable, so it has no Stein kernel; "
+            f"use one of {', '.join(STEIN_FAMILIES)}"
+        )
+
+
 def grad1_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Gradients of k with respect to the first argument, shape (m, n, d)."""
+    _require_stein(spec)
     U, lam, c = _difference_form(spec, A, B)
     if spec.family == "gaussian":
         K = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
         return -(U / lam) * (c * K)[:, :, None]
-    if spec.family == "laplace":
-        K = np.exp(-np.abs(U).sum(axis=-1))
-        return -(np.sign(U) / lam) * (c * K)[:, :, None]
     beta = spec.imq_exponent
     r2 = np.einsum("mnd,mnd->mn", U, U)
     return -2.0 * beta * (U / lam) * (c * (1.0 + r2) ** (-beta - 1.0))[:, :, None]
@@ -426,14 +438,12 @@ def grad2_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 
 def cross_derivative_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """sum_i d^2 k / dx_i dy_i, shape (m, n)."""
+    _require_stein(spec)
     U, lam, c = _difference_form(spec, A, B)
     inv2 = 1.0 / lam**2
     if spec.family == "gaussian":
         K = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
         return c * K * ((1.0 - U**2) * inv2).sum(axis=-1)
-    if spec.family == "laplace":
-        K = np.exp(-np.abs(U).sum(axis=-1))
-        return -c * K * ((np.sign(U) ** 2) * inv2).sum(axis=-1)
     beta = spec.imq_exponent
     r2 = np.einsum("mnd,mnd->mn", U, U)
     base = 1.0 + r2
@@ -557,57 +567,33 @@ def _smooth_stein_matrix(spec: KernelSpec, dists: PointDistances, S: np.ndarray)
     return H
 
 
-def _laplace_stein_matrix(spec: KernelSpec, dists: PointDistances, S: np.ndarray) -> np.ndarray:
-    """Laplace Stein matrix up to symmetrisation, from (n, n) buffers: with
-    t = (x_i - x_j) / lam, entry (i, j) is k(x_i, x_j) (s_i . s_j
-    + sum_d sign(t_d) (s_id - s_jd) / lam_d - sum_d sign(t_d)^2 / lam_d^2)."""
-    X = dists.points
-    lam = spec.bandwidth_vector(X.shape[1])
-    T = S / lam
-    H = S @ S.T
-    U, sign = np.empty_like(H), np.empty_like(H)
-    for d in range(X.shape[1]):
-        np.subtract.outer(X[:, d], X[:, d], out=sign)
-        np.sign(sign, out=sign)
-        np.subtract.outer(T[:, d], T[:, d], out=U)
-        U *= sign
-        H += U
-        np.abs(sign, out=sign)
-        sign /= lam[d] ** 2
-        H -= sign
-    del U, sign
-    H *= dists.gram(spec)
-    return H
-
-
 def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     """Matrix of Stein kernel values over one sample, exactly symmetric.
 
     ``points`` is an (n, d) array or the sample's ``PointDistances``, whose
-    cached distances are then reused.
+    cached distances are then reused.  Raises ValueError for a family
+    outside ``STEIN_FAMILIES``.
     """
+    _require_stein(spec)
     dists = _distances(points)
     S = np.asarray(scores, dtype=float)
     if S.shape != dists.points.shape:
         raise ValueError(f"scores shape {S.shape} does not match points {dists.points.shape}")
-    if spec.family == "laplace":
-        H = _laplace_stein_matrix(spec, dists, S)
-    else:
-        H = _smooth_stein_matrix(spec, dists, S)
+    # the builder's row temporaries are freed before the tiles are averaged
+    H = _smooth_stein_matrix(spec, dists, S)
     _symmetrise(H)
     return H
 
 
 def derivative_bounds(spec: KernelSpec, dim: int) -> tuple[float, float, float]:
     """Conservative suprema (K, G, H) of |k|, |grad1 k|_2 and |sum d^2k/dx_i dy_i|."""
+    _require_stein(spec)
     lam = spec.bandwidth_vector(dim)
     lam_min = float(lam.min())
     inv2_sum = float((1.0 / lam**2).sum())
     c = _norm_const(spec, dim)
     if spec.family == "gaussian":
         return c, c * math.exp(-0.5) / lam_min, c * dim / lam_min**2
-    if spec.family == "laplace":
-        return c, c * math.sqrt(inv2_sum), c * inv2_sum
     beta = spec.imq_exponent
     return c, c * beta / lam_min, c * (2.0 * beta * inv2_sum + 4.0 * beta * (beta + 1.0) / lam_min**2)
 

@@ -262,6 +262,8 @@ def test_cli_usage_errors_before_computation(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     assert main(["test", "gof", "--sample", missing, "--score", "gaussian", "--dp-epsilon", "1.0"]) == 2
     capsys.readouterr()
+    assert main(["test", "gof", "--sample", missing, "--score", "gaussian", "--kernel", "laplace"]) == 2
+    assert "no Stein kernel" in capsys.readouterr().err
     assert main(["test", "two-sample", "--x", missing, "--y", missing,
                  "--blocks", "2", "--design-size", "9"]) == 2
     capsys.readouterr()
@@ -480,6 +482,7 @@ def test_parse_config_file(tmp_path):
         ["adapt = pool:fuse", "bandwidth = grid:3", "nu = -1"],
         ["framework = hsic", "generator = gaussian_mean_shift"],
         ["framework = ksd", "generator = correlated_gaussian_pairs"],
+        ["framework = ksd", "kernel = laplace"],
     ],
 )
 def test_experiment_config_errors_exit_two_before_any_draw(tmp_path, capsys, monkeypatch, lines):

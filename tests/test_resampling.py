@@ -700,6 +700,33 @@ def test_hsic_permutation_engine_values_do_not_depend_on_the_gather_budget(monke
             np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
+@pytest.mark.parametrize("n", [20, 300])
+def test_hsic_permutation_replicates_with_the_identity_tie_exactly(n, statistic, monkeypatch):
+    # every third draw is made the identity, the original's own pairing; at
+    # n = 300 a gather block holds fewer rows than n
+    calls = []
+
+    def sample(rng, n):
+        perm = sample_paired_permutation(rng, n)
+        calls.append(len(calls) % 3 == 0)
+        return np.arange(n) if calls[-1] else perm
+
+    monkeypatch.setattr(engines, "sample_paired_permutation", sample)
+    data, pairs = _hsic_case(n, 2)
+    count = 30
+    rep = ReplicateSpec(count=count, seed=3)
+    original, replicates = engines.hsic_permutation_replicates(data, pairs, rep, statistic)
+    kept = np.array(calls)
+    assert kept.sum() == 10
+    for k in range(len(pairs)):
+        np.testing.assert_array_equal(replicates[k][kept], original[k])
+        assert np.all(replicates[k][~kept] != original[k])
+        # the decision counts every tie as a replicate at least the original
+        exceeding = kept.sum() + np.count_nonzero(replicates[k][~kept] > original[k])
+        assert decide(original[k], replicates[k], 0.05).p_value == (1 + exceeding) / (count + 1)
+
+
 @pytest.mark.parametrize("statistic", ["u", "sqrt_v"])
 def test_hsic_permutation_replicates_gather_blocks_not_matrices(statistic, monkeypatch):
     count, n = 199, 512

@@ -403,7 +403,9 @@ def _fd_pair(spec, x, y, step=1e-5):
     return g1, cross
 
 
-@pytest.mark.parametrize("spec", [gaussian_kernel(0.9), imq_kernel(0.8, exponent=0.6)])
+@pytest.mark.parametrize(
+    "spec", [gaussian_kernel(0.9), gaussian_kernel((0.6, 1.3, 0.9)), imq_kernel(0.8, exponent=0.6)]
+)
 def test_derivatives_match_finite_differences(spec):
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -418,7 +420,9 @@ def test_derivatives_match_finite_differences(spec):
         np.testing.assert_allclose(cross, fd_cross, rtol=1e-4, atol=2e-6)
 
 
-@pytest.mark.parametrize("spec", [gaussian_kernel(0.9), imq_kernel(0.8, exponent=0.6)])
+@pytest.mark.parametrize(
+    "spec", [gaussian_kernel(0.9), gaussian_kernel((0.6, 1.3, 0.9)), imq_kernel(0.8, exponent=0.6)]
+)
 def test_derivative_bounds_hold(spec):
     rng = np.random.default_rng(23)
     pts = rng.normal(size=(40, 3)) * 2.0

@@ -15,7 +15,8 @@ replicates and originals once against the sorted pools (`_RankTable`)
 and reads u* exactly as the largest feasible candidate level, and the
 p-value in closed form as min(|K| e_o, max(e_o, H(e_o)/B), 1), where e_o
 is the level at which the original first exceeds and H(e) counts the
-replicates exceeding by level e.  Since u* never drops below the
+replicates exceeding by level e; the |K| e_o term never binds, so the code
+leaves it out (see `_RankTable.search`).  Since u* never drops below the
 Bonferroni level alpha/|K|, every Bonferroni rejection is an aggregated
 rejection.
 """
@@ -148,28 +149,23 @@ def pooled_test(
 ) -> TestResult:
     """Calibrated test on the pooled statistic.
 
-    The pooled original and every pooled replicate use the identical
-    configuration; with a single kernel the result is bit-identical to
-    the single-kernel test.  Normalisation scales default to the
-    empirical standard deviation of each kernel's replicate statistics
-    (zero scales fall back to one).
+    The original and every replicate are pooled in one call with the
+    identical configuration, so a replicate tied with the original stays
+    tied; with a single kernel the result is bit-identical to the
+    single-kernel test.  Normalisation scales default to the empirical
+    standard deviation of each kernel's replicate statistics (zero scales
+    fall back to one).
     """
     framework = framework_of(data)
     design = resolve_design(data, rep.method, blocks, design_size)
-    originals, reps = collection_replicates(
-        data, list(collection.kernels), rep, statistic=statistic, design=design
-    )
-    config = _with_runtime_defaults(config, data, collection, reps)
-    weights = collection.weight_vector()
+    values = collection_replicates(data, list(collection.kernels), rep, statistic=statistic, design=design)
+    config = _with_runtime_defaults(config, data, collection, values[:, 1:])
     if config.normalized:
-        sigma = np.asarray(config.sigma, dtype=float)
-        originals = originals / sigma
-        reps = reps / sigma[:, None]
-    pooled_original = _pool_columns(originals[:, None], config, weights)[0]
-    pooled_reps = _pool_columns(reps, config, weights)
+        values = values / np.asarray(config.sigma, dtype=float)[:, None]
+    pooled = _pool_columns(values, config, collection.weight_vector())
     return test_decision(
-        pooled_original,
-        pooled_reps,
+        pooled[0],
+        pooled[1:],
         alpha,
         framework=framework,
         method=rep.method,
@@ -265,15 +261,12 @@ class _RankTable:
     replicate and for the original (one group for uniform weights).
     """
 
-    def __init__(self, originals: np.ndarray, replicates: np.ndarray, weights: np.ndarray):
-        self.count = originals.size
-        self.n_rep = replicates.shape[1]
-        pools = np.column_stack([replicates, originals])
-        self.sorted_pools = np.sort(pools, axis=1)
-        ranks = self.n_rep + 1 - np.array(
-            [np.searchsorted(s, v, side="left") for s, v in zip(self.sorted_pools, pools)]
-        )
-        self.original_ranks = ranks[:, self.n_rep]
+    def __init__(self, values: np.ndarray, weights: np.ndarray):
+        self.count, m = values.shape
+        self.n_rep = m - 1
+        self.sorted_pools = np.sort(values, axis=1)
+        ranks = m - np.array([np.searchsorted(s, v, side="left") for s, v in zip(self.sorted_pools, values)])
+        self.original_ranks = ranks[:, 0]
         self.group_weights, group = np.unique(weights, return_inverse=True)
         self.first = np.array([ranks[group == g].min(axis=0) for g in range(self.group_weights.size)])
 
@@ -306,11 +299,11 @@ class _RankTable:
         levels = np.unique(np.append(np.arange(1, m) / (w * self.count * m), bounds))
         counts = _quantile_count(levels * w * self.count, m)
         entry = np.min([np.searchsorted(c, a) for c, a in zip(counts, self.first)], axis=0)
-        hits = np.cumsum(np.bincount(entry[: self.n_rep], minlength=levels.size + 1))
+        hits = np.cumsum(np.bincount(entry[1:], minlength=levels.size + 1))
         lo, hi = np.searchsorted(levels, bounds)
         feasible = np.count_nonzero(hits[: levels.size] / self.n_rep <= alpha)
         star = min(max(feasible - 1, lo), hi)
-        entry_o = entry[self.n_rep]
+        entry_o = entry[0]
         e_o = float(levels[entry_o]) if entry_o < levels.size else math.inf  # inf: exceeds at no level
         p_value = min(max(e_o, hits[entry_o] / self.n_rep), 1.0)
         return float(levels[star]), bool(entry_o <= star), float(p_value)
@@ -353,28 +346,25 @@ def aggregated_test(
             f"got {rep.count} replicates for alpha={alpha}, |K|={count}"
         )
     design = resolve_design(data, rep.method, blocks, design_size)
-    originals, reps = collection_replicates(
-        data, list(collection.kernels), rep, statistic=statistic, design=design
-    )
-    return _aggregate_decide(originals, reps, alpha, framework, rep, collection)
+    values = collection_replicates(data, list(collection.kernels), rep, statistic=statistic, design=design)
+    return _aggregate_decide(values, alpha, framework, rep, collection)
 
 
 def _aggregate_decide(
-    originals: np.ndarray,
-    replicates: np.ndarray,
+    values: np.ndarray,
     alpha: float,
     framework: str,
     rep: ReplicateSpec,
     collection: KernelCollection,
 ) -> AggregatedTestResult:
-    count = originals.size
+    """The aggregated decision on (K, B + 1) values, column 0 the original's."""
+    originals = values[:, 0]
     weights = collection.weight_vector()
-    n_rep = replicates.shape[1]
-    table = _RankTable(originals, replicates, weights)
+    table = _RankTable(values, weights)
     u_star, reject, p_value = table.search(alpha)
-    thresholds = _adjusted_thresholds(table.sorted_pools, u_star * weights * count)
+    thresholds = _adjusted_thresholds(table.sorted_pools, u_star * weights * table.count)
     margins = originals - thresholds
-    kernel_p_values = table.original_ranks / (n_rep + 1)
+    kernel_p_values = table.original_ranks / values.shape[1]
     per_kernel = tuple(
         KernelOutcome(
             kernels=_collection_descriptions(framework, [entry]),
@@ -392,7 +382,7 @@ def _aggregate_decide(
         p_value=p_value,
         reject=reject,
         alpha=alpha,
-        replicates=n_rep,
+        replicates=table.n_rep,
         method=rep.method,
         seed=rep.seed,
         kernels=_collection_descriptions(framework, collection.kernels),

@@ -172,15 +172,12 @@ def _constrained_test(
         if robust.r > size:
             raise ValueError(f"r={robust.r} exceeds the sample size {size}")
 
-    originals, reps = collection_replicates(data, list(collection.kernels), rep, statistic="sqrt_v")
+    values = collection_replicates(data, list(collection.kernels), rep, statistic="sqrt_v")
     if collection.size > 1:
-        cfg = _with_runtime_defaults(pool_config, data, collection, reps)
-        weights = collection.weight_vector()
-        original = float(_pool_columns(originals[:, None], cfg, weights)[0])
-        replicates = _pool_columns(reps, cfg, weights)
+        cfg = _with_runtime_defaults(pool_config, data, collection, values[:, 1:])
+        stats = _pool_columns(values, cfg, collection.weight_vector())
     else:
-        original = float(originals[0])
-        replicates = reps[0]
+        stats = values[0]
 
     bound = max(core_bound(entry, data) for entry in collection.kernels)
     if sensitivity is None:
@@ -193,9 +190,7 @@ def _constrained_test(
     xi = privacy.xi if privacy is not None else math.inf
     noise_scale = 0.0 if math.isinf(xi) else 2.0 * delta_stat / xi
     if noise_scale > 0.0:
-        noise = _noise_vector(rep.seed, rep.count + 1, noise_scale)
-        original = original + noise[0]
-        replicates = replicates + noise[1:]
+        stats = stats + _noise_vector(rep.seed, rep.count + 1, noise_scale)
 
     shift = 2.0 * robust.r * delta_stat if robust is not None else 0.0
     meta = {
@@ -205,8 +200,8 @@ def _constrained_test(
         "noise_scale": noise_scale,
     }
     return test_decision(
-        original,
-        replicates,
+        stats[0],
+        stats[1:],
         alpha,
         threshold_shift=shift,
         framework=framework,

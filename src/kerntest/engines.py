@@ -1,10 +1,12 @@
 """Replicate engines: original and null-replicate statistics, per kernel.
 
-Every test in the package reduces to an array of per-kernel statistic
-values for the original data and for ``B`` null replicates.  Within one
-replicate the randomness (a permutation or a Rademacher sign vector) is
-drawn once and shared across all kernels; this sharing is part of the
-correctness contract of the adaptive tests, not an optimisation.
+Every test in the package reduces to one (K, B + 1) array of per-kernel
+statistic values, column 0 the original data's and columns 1..B those of
+``B`` null replicates; the decision, pooling, noise and aggregation all
+read that one array.  Within one replicate the randomness (a permutation
+or a Rademacher sign vector) is drawn once and shared across all kernels;
+this sharing is part of the correctness contract of the adaptive tests,
+not an optimisation.
 
 Replicate ``b`` draws from ``stream(seed, TAG_REPLICATE, b)``, i.e. from
 ``default_rng(SeedSequence((seed, TAG_REPLICATE, b)))``, so results do not
@@ -16,7 +18,10 @@ words (see ``_sign_matrix``) and equal ``rademacher(rng, n)`` bit for
 bit.  The original statistic is computed
 through the same arithmetic as the replicates (identity permutation,
 all-ones signs), which keeps constrained variants bit-compatible with the
-standard test they degenerate to.
+standard test they degenerate to.  A replicate whose draw reproduces the
+original's ties with it exactly: the MMD permutation and wild engines copy
+the original's values into it, and the HSIC permutation engine's sums do
+not depend on a replicate's position.
 
 The permutation engines form no (N, N) matrix per replicate.  The MMD
 engine holds no gram either: it makes the gram a block of rows at a time
@@ -118,14 +123,14 @@ def _quadratic_offdiag(h: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return q.sum(axis=1) - np.trace(h)
 
 
-def wild_replicates(
-    cores: list[CoreMatrix], design: DesignSet | None, rep: ReplicateSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def wild_replicates(cores: list[CoreMatrix], design: DesignSet | None, rep: ReplicateSpec) -> np.ndarray:
     """Wild-bootstrap statistics (1/|D|) sum eps_i eps_j H[i, j].
 
-    Returns (originals, replicates) of shapes (K,) and (K, B); one shared
-    sign vector per replicate across the K cores.  No design means all
-    off-diagonal pairs, i.e. one block, for which no indices are built.
+    Returns the (K, B + 1) values, column 0 the original's (all-ones
+    signs); one shared sign vector per replicate across the K cores.  No
+    design means all off-diagonal pairs, i.e. one block, for which no
+    indices are built.  A sign row whose products eps_i eps_j are all +1
+    on the design (constant within every block) gets the original's values.
     """
     n = cores[0].n
     if any(c.n != n for c in cores):
@@ -140,24 +145,28 @@ def wild_replicates(
     blocks = 1 if design is None else design.block_count
     if blocks is not None:
         size = n // blocks
+        slices = [slice(b * size, (b + 1) * size) for b in range(blocks)]
         for k, c in enumerate(cores):
             acc = np.zeros(rep.count + 1)
-            for b in range(blocks):
-                sl = slice(b * size, (b + 1) * size)
+            for sl in slices:
                 acc += _quadratic_offdiag(c.h[sl, sl], signs[:, sl])
             vals[k] = acc / (blocks * size * (size - 1))
+        # a block's signs are all equal exactly when their sum, exact in any
+        # order, is +-size
+        tied = np.ones(rep.count + 1, dtype=bool)
+        for sl in slices:
+            tied &= np.abs(signs[:, sl] @ np.ones(size)) == size
     else:
         hv = np.stack([c.h[design.idx_i, design.idx_j] for c in cores])
+        tied = np.empty(rep.count + 1, dtype=bool)
         chunk = max(1, _CHUNK_ELEMENTS // design.size)
         for lo in range(0, rep.count + 1, chunk):
             hi = min(lo + chunk, rep.count + 1)
             e = signs[lo:hi, design.idx_i] * signs[lo:hi, design.idx_j]
             vals[:, lo:hi] = hv @ e.T / design.size
-    return _finalize(vals)
-
-
-def _finalize(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return vals[:, 0].copy(), vals[:, 1:].copy()
+            tied[lo:hi] = e.min(axis=1) > 0
+    vals[:, tied] = vals[:, :1]
+    return vals
 
 
 def _gram_row_blocks(m: int, n: int) -> list[tuple[int, int]]:
@@ -176,7 +185,7 @@ def _gram_row_blocks(m: int, n: int) -> list[tuple[int, int]]:
 
 def mmd_permutation_replicates(
     data: TwoSampleData, specs: list[KernelSpec], rep: ReplicateSpec, statistic: str = "sqrt_v"
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Merged-sample MMD statistics over uniformly permuted group labels.
 
     Supports unequal sample sizes.  ``statistic``: "u" for the unbiased
@@ -240,7 +249,7 @@ def mmd_permutation_replicates(
         else:
             v = s_xx / (m * m) + s_yy / (n * n) - 2.0 * s_xy / (m * n)
             vals[k] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
-    return _finalize(vals)
+    return vals
 
 
 def hsic_permutation_replicates(
@@ -248,7 +257,7 @@ def hsic_permutation_replicates(
     spec_pairs: list[tuple[KernelSpec, KernelSpec]],
     rep: ReplicateSpec,
     statistic: str = "sqrt_v",
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Doubly-centered HSIC statistics with the Y component permuted."""
     if statistic not in STATISTIC_KINDS:
         raise ValueError(f"unknown statistic kind {statistic!r}")
@@ -284,7 +293,7 @@ def hsic_permutation_replicates(
             v = total / (n * n)
             vals[k] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
         del kc, lc  # freed before the next kernel's grams are built
-    return _finalize(vals)
+    return vals
 
 
 def collection_replicates(
@@ -294,8 +303,9 @@ def collection_replicates(
     *,
     statistic: str | None = None,
     design: DesignSet | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the right engine for the dataset / method combination.
+) -> np.ndarray:
+    """The (K, B + 1) statistic values, column 0 the original's, from the
+    right engine for the dataset / method combination.
 
     ``kernel_entries`` holds KernelSpec items (mmd, ksd) or
     (KernelSpec, KernelSpec) pairs (hsic).  Permutation engines accept a

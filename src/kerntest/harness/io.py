@@ -54,14 +54,7 @@ def _read_csv_cells(path: Path) -> np.ndarray:
         for r, record in enumerate(csv.reader(fh), start=1):
             if not "".join(record).strip():  # no cells, or only blank ones
                 continue
-            try:
-                parsed = list(map(float, record))
-            except ValueError:
-                parsed = None
-            # a non-finite sum flags NaN/Inf cells (or an overflowing sum of
-            # finite ones, which the cell-by-cell pass then accepts)
-            if parsed is None or not math.isfinite(sum(parsed)):
-                parsed = _parse_cells(path, r, record)
+            parsed = _parse_cells(path, r, record)
             if rows and len(parsed) != len(rows[0]):
                 raise DataError(
                     f"{path}: ragged row {r}: {len(parsed)} columns, expected {len(rows[0])}"

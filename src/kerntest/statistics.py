@@ -278,12 +278,12 @@ class DesignSet:
         """Deterministic design of `size` pairs taken from successive superdiagonals.
 
         Pairs are enumerated as (i, i+r) for r = 1, 2, ... which keeps the
-        design spread across rows of the core matrix.
+        design spread across rows of the core matrix; there are n(n-1)/2.
         """
         if size < 1:
             raise ValueError("design size must be positive")
-        if size > n * (n - 1):
-            raise ValueError(f"design size {size} exceeds the {n * (n - 1)} off-diagonal pairs")
+        if size > n * (n - 1) // 2:
+            raise ValueError(f"design size {size} exceeds the {n * (n - 1) // 2} pairs (i, j), i < j, of n={n}")
         ii, jj = [], []
         remaining = size
         for r in range(1, n):

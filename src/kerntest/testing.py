@@ -69,10 +69,10 @@ def _single_test(
     framework = framework_of(data)
     rep = ReplicateSpec(count=replicates, method=method, seed=seed)
     design = resolve_design(data, method, blocks, design_size)
-    originals, reps = collection_replicates(data, [entry], rep, statistic=statistic, design=design)
+    values = collection_replicates(data, [entry], rep, statistic=statistic, design=design)
     return test_decision(
-        originals[0],
-        reps[0],
+        values[0, 0],
+        values[0, 1:],
         alpha,
         framework=framework,
         method=method,

@@ -247,11 +247,9 @@ def test_criterion_06_aggregation():
         agg = aggregated_test(data, collection, rep, alpha)
         if not (alpha / 3 - 1e-12 <= agg.adjusted_level <= alpha + 1e-12):
             range_fail += 1
-        originals, reps = collection_replicates(
-            data, list(collection.kernels), rep, statistic="sqrt_v"
-        )
-        pools = np.sort(np.column_stack([reps, originals]), axis=1)
-        bonferroni = bool((originals > _adjusted_thresholds(pools, np.full(3, alpha / 3))).any())
+        vals = collection_replicates(data, list(collection.kernels), rep, statistic="sqrt_v")
+        pools = np.sort(vals, axis=1)
+        bonferroni = bool((vals[:, 0] > _adjusted_thresholds(pools, np.full(3, alpha / 3))).any())
         if bonferroni:
             bonferroni_rejections += 1
             if not agg.reject:
@@ -279,7 +277,7 @@ def test_criterion_06_aggregation():
         rejections = 0
         for t in range(720):
             originals = stats[:, t]
-            u, _, _ = _RankTable(originals, stats, weights).search(alpha)
+            u, _, _ = _RankTable(np.column_stack([originals, stats]), weights).search(alpha)
             pools = np.sort(np.column_stack([stats, originals]), axis=1)
             thr = _adjusted_thresholds(pools, u * weights * 2)
             rejections += bool((originals > thr).any())

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from kerntest import adaptive, engines
 from kerntest.adaptive import (
+    POOL_METHODS,
     KernelCollection,
     PoolConfig,
     _RankTable,
@@ -217,6 +219,34 @@ def test_pooled_hsic_shared_replicate_draws():
     assert result.reject
 
 
+def _tied_hsic_wild_case(kernels):
+    """HSIC wild bootstrap over 16 pairs in 4 blocks: the core has 8 rows, so a
+    replicate whose signs are constant within every block of 2 (1 in 16) ties
+    with the original.  Returns the (B,) mask of those replicates too."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(16, 1))
+    data = PairedData.from_parts(x, 0.3 * x + rng.normal(size=(16, 1)))
+    bandwidths = np.geomspace(0.5, 2.0, kernels)
+    collection = KernelCollection(tuple((gaussian_kernel(b), gaussian_kernel(b)) for b in bandwidths))
+    rep = ReplicateSpec(count=199, method="wild_bootstrap", seed=14)
+    signs = engines._sign_matrix(rep.seed, rep.count, 8)[1:].reshape(rep.count, 4, 2)
+    return data, collection, rep, (signs[:, :, 0] == signs[:, :, 1]).all(axis=1)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("method", POOL_METHODS)
+def test_pooled_test_counts_replicates_tied_with_the_original(method, normalized, recorded):
+    # over ten kernels, an original pooled apart from its replicates is
+    # rounded differently (the mean's product, the fuse's sum)
+    data, collection, rep, tied = _tied_hsic_wild_case(10)
+    calls = recorded(adaptive, "test_decision")
+    result = pooled_test(data, collection, PoolConfig(method, normalized=normalized), rep, blocks=4)
+    (((original, replicates, *_), _),) = calls
+    assert tied.sum() >= 10
+    np.testing.assert_array_equal(replicates[tied], original)
+    assert result.p_value == (1 + np.count_nonzero(replicates >= original)) / (rep.count + 1)
+
+
 # --- aggregated test -------------------------------------------------------------
 
 
@@ -229,6 +259,19 @@ def test_aggregated_single_kernel_equals_single_test():
     assert agg.reject == single.reject
     assert agg.per_kernel[0].p_value == single.p_value
     assert agg.per_kernel[0].statistic == single.statistic
+
+
+def test_aggregated_test_counts_replicates_tied_with_the_original(recorded):
+    data, collection, rep, tied = _tied_hsic_wild_case(3)
+    calls = recorded(adaptive, "collection_replicates")
+    result = aggregated_test(data, collection, rep, 0.05, blocks=4)
+    ((_, vals),) = calls
+    assert tied.sum() >= 10
+    for k, outcome in enumerate(result.per_kernel):
+        np.testing.assert_array_equal(vals[k, 1:][tied], vals[k, 0])
+        assert outcome.p_value == np.count_nonzero(vals[k] >= vals[k, 0]) / (rep.count + 1)
+    # a tied replicate exceeds wherever the original does: H(e_o) counts it
+    assert result.p_value >= tied.sum() / rep.count
 
 
 def test_aggregated_requires_enough_replicates():
@@ -252,12 +295,10 @@ def test_aggregated_level_range_and_dominance():
         # Bonferroni: fixed adjusted level alpha/|K| on the same replicate draws
         from kerntest.engines import collection_replicates
 
-        originals, reps = collection_replicates(
-            data, list(collection.kernels), rep, statistic="sqrt_v"
-        )
-        pools = np.sort(np.column_stack([reps, originals]), axis=1)
+        vals = collection_replicates(data, list(collection.kernels), rep, statistic="sqrt_v")
+        pools = np.sort(vals, axis=1)
         bonferroni_thr = _adjusted_thresholds(pools, np.full(3, alpha / 3))
-        bonferroni_reject = bool((originals > bonferroni_thr).any())
+        bonferroni_reject = bool((vals[:, 0] > bonferroni_thr).any())
         if bonferroni_reject:
             dominated += 1
             assert agg.reject  # aggregation never loses a Bonferroni rejection
@@ -295,7 +336,7 @@ def test_aggregated_exhaustive_type_one_error():
             rejections = 0
             for t in range(720):
                 originals = stats[:, t]
-                u, _, _ = _RankTable(originals, stats, weights).search(alpha)
+                u, _, _ = _RankTable(np.column_stack([originals, stats]), weights).search(alpha)
                 pools = np.sort(np.column_stack([stats, originals]), axis=1)
                 thr = _adjusted_thresholds(pools, u * weights * 2)
                 rejections += bool((originals > thr).any())
@@ -422,7 +463,8 @@ def test_aggregate_decide_matches_reference_search():
     keys = ("reject", "p_value", "adjusted_level", "statistic")
     for originals, replicates, alpha, collection in _aggregate_cases(8, 2000):
         weights = collection.weight_vector()
-        got = _aggregate_decide(originals, replicates, alpha, "mmd", rep, collection).to_json_dict()
+        values = np.column_stack([originals, replicates])
+        got = _aggregate_decide(values, alpha, "mmd", rep, collection).to_json_dict()
         thresholds = [o["threshold"] for o in got["per_kernel"]]
         assert got["reject"] == (got["p_value"] <= alpha) == (got["statistic"] > 0)
         scan = _candidate_scan(originals, replicates, alpha, weights)
@@ -450,7 +492,7 @@ def test_aggregate_decide_coincident_breakpoints():
     assert (originals.size, replicates.shape[1], alpha) == (2, 19, 0.2)
     assert collection.weights == harmonic_weights(2)
     rep = ReplicateSpec(count=1, method="permutation", seed=0)
-    result = _aggregate_decide(originals, replicates, alpha, "mmd", rep, collection)
+    result = _aggregate_decide(np.column_stack([originals, replicates]), alpha, "mmd", rep, collection)
     assert not result.reject
     assert result.p_value == 4 / 19
     assert _counts(result.adjusted_level, collection.weight_vector(), 19) == (3, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerntest import constrained
-from kerntest.adaptive import KernelCollection, PoolConfig, pool
+from kerntest.adaptive import POOL_METHODS, KernelCollection, PoolConfig, pool
 from kerntest.constrained import (
     PrivacyParams,
     RobustParams,
@@ -15,7 +15,7 @@ from kerntest.constrained import (
     robust_test,
 )
 from kerntest.kernels import gaussian_kernel, gram_matrix
-from kerntest.resampling import TAG_NOISE, ReplicateSpec
+from kerntest.resampling import TAG_NOISE, TAG_REPLICATE, ReplicateSpec, sample_two_sample_permutation, stream
 from kerntest.statistics import (
     ModelSampleData,
     PairedData,
@@ -336,6 +336,30 @@ def test_constrained_pooled_and_hsic_paths():
     assert pooled.constraint["noise_scale"] > 0
     with pytest.raises(ValueError, match="pooling"):
         dp_test(_null_two_sample(13), collection, 0.05, PrivacyParams(2.0), rep)
+
+
+@pytest.mark.parametrize("method", POOL_METHODS)
+@pytest.mark.parametrize("constraint", ["dp", "robust"])
+def test_constrained_pooled_test_counts_replicates_tied_with_the_original(constraint, method, recorded):
+    # m = n = 2 has 6 labellings, so about a sixth of the replicates keep the
+    # original's.  Over ten kernels, an original pooled apart from its
+    # replicates is rounded differently (the mean's product, the fuse's sum)
+    rng = np.random.default_rng(26)
+    data = TwoSampleData(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+    collection = KernelCollection(tuple(gaussian_kernel(b) for b in np.geomspace(0.5, 2.0, 10)))
+    rep = ReplicateSpec(count=199, seed=26)
+    draws = stream(rep.seed, TAG_REPLICATE, range(rep.count))
+    kept = np.array([set(sample_two_sample_permutation(g, 2, 2)[:2]) == {0, 1} for g in draws])
+    calls = recorded(constrained, "test_decision")
+    config = PoolConfig(method)
+    if constraint == "dp":
+        result = dp_test(data, collection, 0.05, PrivacyParams(math.inf), rep, pool_config=config)
+    else:
+        result = robust_test(data, collection, 0.05, RobustParams(0), rep, pool_config=config)
+    (((original, replicates, *_), _),) = calls
+    assert kept.sum() > 20
+    np.testing.assert_array_equal(replicates[kept], original)
+    assert result.p_value == (1 + np.count_nonzero(replicates >= original)) / (rep.count + 1)
 
 
 def test_constrained_requires_permutation_method():

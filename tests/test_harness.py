@@ -245,6 +245,16 @@ def test_cli_identical_samples_p_value_one(tmp_path, capsys):
     assert payload["reject"] is False
 
 
+def test_cli_design_size_above_the_upper_pairs_exits_three(tmp_path, capsys):
+    # m = n = 16: the wild MMD core has 16 rows and 120 pairs (i, j), i < j
+    xp, yp = _two_sample_files(tmp_path, n=16)
+    base = ["test", "two-sample", "--x", xp, "--y", yp, "--method", "wild", "--replicates", "19"]
+    assert main(base + ["--design-size", "120"]) == 0
+    capsys.readouterr()
+    assert main(base + ["--design-size", "121"]) == 3
+    assert "exceeds the 120 pairs" in capsys.readouterr().err
+
+
 def test_cli_robust_zero_matches_standard(tmp_path, capsys):
     xp, yp = _two_sample_files(tmp_path, shifted=0.5)
     base = ["test", "two-sample", "--x", xp, "--y", yp, "--seed", "11"]

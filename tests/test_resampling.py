@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kerntest import constrained, engines
+from kerntest import constrained, engines, testing
 from kerntest.engines import collection_replicates
 from kerntest.harness import run as harness_run
 from kerntest.harness.generators import builtin_generator
@@ -397,7 +397,8 @@ def test_mmd_permutation_replicates_with_the_original_labelling_tie_exactly(dim,
     rng = np.random.default_rng(4)
     two = TwoSampleData(rng.normal(size=(2, dim)), rng.normal(size=(2, dim)))
     rep = ReplicateSpec(count=199, seed=5)
-    original, replicates = engines.mmd_permutation_replicates(two, [gaussian_kernel(1.3)], rep, statistic)
+    vals = engines.mmd_permutation_replicates(two, [gaussian_kernel(1.3)], rep, statistic)
+    original, replicates = vals[:, 0], vals[:, 1:]
     kept = [
         set(sample_two_sample_permutation(rng, 2, 2)[:2]) == {0, 1}
         for rng in stream(rep.seed, TAG_REPLICATE, range(rep.count))
@@ -408,10 +409,10 @@ def test_mmd_permutation_replicates_with_the_original_labelling_tie_exactly(dim,
 
 def test_mmd_permutation_statistic_of_identical_samples_is_zero():
     x = np.random.default_rng(6).normal(size=(12, 2))
-    original, _ = engines.mmd_permutation_replicates(
+    vals = engines.mmd_permutation_replicates(
         TwoSampleData(x, x), [gaussian_kernel(1.1)], ReplicateSpec(count=19, seed=1), "v"
     )
-    assert original[0] == 0.0
+    assert vals[0, 0] == 0.0
 
 
 def _full_gram_mmd_replicates(data, specs, rep, statistic):
@@ -438,8 +439,7 @@ def _full_gram_mmd_replicates(data, specs, rep, statistic):
         else:
             v = s_xx / (m * m) + s_yy / (n * n) - 2.0 * s_xy / (m * n)
             vals.append(np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v)
-    vals = np.array(vals)
-    return vals[:, 0], vals[:, 1:]
+    return np.array(vals)
 
 
 def _mmd_case(m, n, kernels, dim=3):
@@ -484,10 +484,10 @@ def test_mmd_permutation_statistic_of_identical_samples_is_zero_in_blocks(dim):
     assert len(engines._gram_row_blocks(300, 300)) > 2
     specs = [gaussian_kernel(1.1), imq_kernel(0.9), laplace_kernel(1.7)]
     for statistic in ("v", "sqrt_v"):
-        original, _ = engines.mmd_permutation_replicates(
+        vals = engines.mmd_permutation_replicates(
             TwoSampleData(x, x), specs, ReplicateSpec(count=9, seed=1), statistic
         )
-        assert np.all(original == 0.0)
+        assert np.all(vals[:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
@@ -507,7 +507,8 @@ def test_mmd_permutation_replicates_with_the_original_labelling_tie_exactly_in_b
 
     monkeypatch.setattr(engines, "sample_two_sample_permutation", sample)
     data, specs = _mmd_case(m, n, 2)
-    original, replicates = engines.mmd_permutation_replicates(data, specs, ReplicateSpec(count=30, seed=2), statistic)
+    vals = engines.mmd_permutation_replicates(data, specs, ReplicateSpec(count=30, seed=2), statistic)
+    original, replicates = vals[:, 0], vals[:, 1:]
     kept = np.array(calls)
     assert kept.sum() == 10
     for k in range(len(specs)):
@@ -655,7 +656,7 @@ def _full_gather_replicates(data, pairs, rep, statistic):
         else:
             v = total / (n * n)
             vals[:, lo:hi] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
-    return vals[:, 0], vals[:, 1:]
+    return vals
 
 
 @pytest.mark.parametrize("kernels", [1, 3])
@@ -667,10 +668,7 @@ def test_hsic_permutation_engine_matches_full_matrix_statistics(n, kernels):
     rep = ReplicateSpec(count=19, seed=5)
     perms = _hsic_permutations(rep, n)
     # (K, B + 1) values per statistic kind, the original first
-    got = {
-        kind: np.column_stack(engines.hsic_permutation_replicates(data, pairs, rep, kind))
-        for kind in engines.STATISTIC_KINDS
-    }
+    got = {kind: engines.hsic_permutation_replicates(data, pairs, rep, kind) for kind in engines.STATISTIC_KINDS}
     for k, (kx, ky) in enumerate(pairs):
         core = core_matrix_hsic(kx, ky, data)
         np.testing.assert_allclose(got["u"][k], [permuted_statistic(core, p) for p in perms], rtol=1e-13)
@@ -716,7 +714,8 @@ def test_hsic_permutation_replicates_with_the_identity_tie_exactly(n, statistic,
     data, pairs = _hsic_case(n, 2)
     count = 30
     rep = ReplicateSpec(count=count, seed=3)
-    original, replicates = engines.hsic_permutation_replicates(data, pairs, rep, statistic)
+    vals = engines.hsic_permutation_replicates(data, pairs, rep, statistic)
+    original, replicates = vals[:, 0], vals[:, 1:]
     kept = np.array(calls)
     assert kept.sum() == 10
     for k in range(len(pairs)):
@@ -725,6 +724,54 @@ def test_hsic_permutation_replicates_with_the_identity_tie_exactly(n, statistic,
         # the decision counts every tie as a replicate at least the original
         exceeding = kept.sum() + np.count_nonzero(replicates[k][~kept] > original[k])
         assert decide(original[k], replicates[k], 0.05).p_value == (1 + exceeding) / (count + 1)
+
+
+def _forced_tie_signs(monkeypatch, blocks):
+    """Make every third replicate's signs, and the last two replicates',
+    constant within each of ``blocks`` blocks, so that their products
+    eps_i eps_j equal the original's on every pair of a block design (or of
+    any design, with one block).  Returns the (B,) mask of those replicates,
+    filled in when the signs are drawn."""
+    real = engines._sign_matrix
+    tied = []
+
+    def signs(seed, count, n):
+        out = real(seed, count, n)
+        size = n // blocks
+        rng = np.random.default_rng(seed)
+        tied[:] = [b % 3 == 1 or b > count - 2 for b in range(1, count + 1)]
+        for b in np.flatnonzero(tied) + 1:
+            for a in range(0, blocks * size, size):
+                out[b, a : a + size] = rng.choice([-1.0, 1.0])
+        return out
+
+    monkeypatch.setattr(engines, "_sign_matrix", signs)
+    return tied
+
+
+@pytest.mark.parametrize(
+    "n, data_seed, bandwidth, design",
+    [(17, 1, 0.7, {}), (34, 3, 1.3, {"blocks": 2}), (17, 0, 0.7, {"design_size": 40})],
+)
+def test_wild_single_test_counts_replicates_tied_with_the_original(
+    n, data_seed, bandwidth, design, monkeypatch, recorded
+):
+    # B + 1 = 31 sign rows: with these data, BLAS rounds the last rows of the
+    # sign products, past its last full panel of rows, apart from row 0
+    tied = _forced_tie_signs(monkeypatch, design.get("blocks", 1))
+    calls = recorded(testing, "collection_replicates")
+    rng = np.random.default_rng(data_seed)
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    count = 30
+    result = two_sample_test(
+        x, y, gaussian_kernel(bandwidth), replicates=count, method="wild_bootstrap", seed=3, **design
+    )
+    ((_, vals),) = calls
+    original, replicates = vals[0, 0], vals[0, 1:]
+    assert sum(tied) == 12
+    np.testing.assert_array_equal(replicates[tied], original)
+    assert result.statistic == original
+    assert result.p_value == (1 + np.count_nonzero(replicates >= original)) / (count + 1)
 
 
 @pytest.mark.parametrize("statistic", ["u", "sqrt_v"])

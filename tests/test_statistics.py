@@ -307,6 +307,13 @@ def test_superdiagonal_design():
         DesignSet.incomplete(4, 13)
 
 
+def test_superdiagonal_design_stops_at_the_upper_pairs():
+    design = DesignSet.incomplete(4, 6)
+    assert list(zip(design.idx_i.tolist(), design.idx_j.tolist())) == [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
+    with pytest.raises(ValueError, match="exceeds the 6 pairs"):
+        DesignSet.incomplete(4, 7)
+
+
 # --- one-sample MMD ---------------------------------------------------------------
 
 

@@ -23,14 +23,17 @@ original's ties with it exactly: the MMD permutation and wild engines copy
 the original's values into it, and the HSIC permutation engine's sums do
 not depend on a replicate's position.
 
-The permutation engines form no (N, N) matrix per replicate.  The MMD
-engine holds no gram either: it makes the gram a block of rows at a time
-from the dataset's distance cache and multiplies each block into the
-(B + 1, N) masked products, so a test holds the cache and
-O(block + B N) beside it.  The HSIC engine reads the two doubly-centred
-grams and gathers, per step, a cache-sized block of rows of each for a
-chunk of replicates (``_GATHER_CHUNK_ELEMENTS``), never their product
-core.
+The engines form no (N, N) matrix per replicate, and an MMD test holds
+the distance cache, the replicate draws and O(block + B N) beside it.  The
+MMD permutation engine makes its gram a tile at a time from the cache
+(blocks of columns, their rows cut at m) and reduces each tile's product
+with the masks straight into the per-replicate sums.  The wild engine
+reads every core through one row-block source: the MMD and HSIC cores
+are made a block of rows at a time from the caches (``CoreRows``) and are
+never held whole; the KSD Stein matrix is held and read whole.  The HSIC
+permutation engine reads the two doubly-centred grams and gathers, per
+step, a cache-sized block of rows of each for a chunk of replicates
+(``_GATHER_CHUNK_ELEMENTS``), never their product core.
 """
 
 from __future__ import annotations
@@ -51,36 +54,35 @@ from .resampling import (
 # (perfbench/spans.py TARGETS) wraps engines.rademacher by name.
 from .resampling import rademacher  # noqa: F401
 from .statistics import (
-    CoreMatrix,
     DesignSet,
     ModelSampleData,
     PairedData,
     TwoSampleData,
-    core_matrix_hsic_wild,
     core_matrix_ksd,
-    core_matrix_mmd,
     hsic_centered_grams,
+    hsic_wild_core_rows,
+    mmd_core_rows,
 )
 
-# No engine calls core_matrix_hsic: the HSIC permutation engine reads the
-# centred grams and never forms their product.  It stays importable here
-# because perfbench/spans.py TARGETS wraps engines.core_matrix_hsic by name.
-from .statistics import core_matrix_hsic  # noqa: F401
+# No engine calls these: the HSIC permutation engine never forms the product
+# core, and the wild engine streams the MMD and HSIC cores.  They stay
+# importable here because perfbench/spans.py TARGETS wraps them by name.
+from .statistics import core_matrix_hsic, core_matrix_hsic_wild, core_matrix_mmd  # noqa: F401
 
 STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
 _CHUNK_ELEMENTS = 1 << 22
 # What one step of a permutation engine gathers, sized to stay in cache
-# (512 KiB): the MMD engine's block of gram rows (at least
+# (512 KiB): the MMD engine's block of gram columns (at least
 # _GRAM_BLOCK_MIN_ROWS of them) or its masked (rows, N) products, or the
 # HSIC engine's two blocks of (rows, chunk, n) and (chunk, rows, n)
 # elements, each half of it.
 _GATHER_CHUNK_ELEMENTS = 1 << 16
-# Fewest gram rows in one block of the MMD engine: BLAS packs all of the
-# masks for every block's product.  At B = 199 (1 BLAS thread) the engine
-# with 128-row blocks was as fast as with the whole gram for N = 1024 to
-# 4096; 64-row blocks made it 8% slower at N = 1024, and 16-row blocks a
-# third slower at N = 4096.
+# Fewest gram columns in one block of the MMD engine: BLAS packs the masks
+# for every tile's product.  At B = 199 (1 BLAS thread) the engine with
+# blocks of 128 was as fast as with the whole gram for N = 1024 to 4096;
+# blocks of 64 made it 8% slower at N = 1024, and of 16 a third slower at
+# N = 4096.
 _GRAM_BLOCK_MIN_ROWS = 128
 
 
@@ -116,21 +118,32 @@ def _sign_matrix(seed: int, count: int, n: int) -> np.ndarray:
     return out
 
 
-def _quadratic_offdiag(h: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """sum_{i != j} eps_i eps_j h[i, j] for every sign row."""
-    q = signs @ h
-    q *= signs  # in place: one (rows, n) temporary
-    return q.sum(axis=1) - np.trace(h)
+def _quadratic_offdiag(core, sl: slice, signs: np.ndarray) -> np.ndarray:
+    """sum_{i != j} eps_i eps_j H[i, j] over i, j in ``sl`` for every sign row,
+    reading H[sl, sl] ``core.height`` rows at a time; several blocks move
+    values in the last digits against one."""
+    s, whole = signs[:, sl], sl.stop - sl.start <= core.height
+    acc = trace = 0.0
+    for lo in range(sl.start, sl.stop, core.height):
+        rows = slice(lo, min(lo + core.height, sl.stop))
+        h = core.block(rows, sl)
+        q = s @ (h if whole else h.T)  # columns ``rows`` of s @ H[sl, sl]: H is symmetric
+        q *= signs[:, rows]  # in place: one (B + 1, rows) temporary
+        acc += q.sum(axis=1)
+        trace += np.trace(h, offset=lo - sl.start)
+        del h, q  # freed before the next block is made
+    return acc - trace
 
 
-def wild_replicates(cores: list[CoreMatrix], design: DesignSet | None, rep: ReplicateSpec) -> np.ndarray:
+def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -> np.ndarray:
     """Wild-bootstrap statistics (1/|D|) sum eps_i eps_j H[i, j].
 
-    Returns the (K, B + 1) values, column 0 the original's (all-ones
+    ``cores`` (``CoreMatrix`` or ``CoreRows``) are read a block of rows at a
+    time.  Returns the (K, B + 1) values, column 0 the original's (all-ones
     signs); one shared sign vector per replicate across the K cores.  No
     design means all off-diagonal pairs, i.e. one block, for which no
-    indices are built.  A sign row whose products eps_i eps_j are all +1
-    on the design (constant within every block) gets the original's values.
+    indices are built.  A sign row whose products eps_i eps_j are all +1 on
+    the design (constant within every block) gets the original's values.
     """
     n = cores[0].n
     if any(c.n != n for c in cores):
@@ -149,7 +162,7 @@ def wild_replicates(cores: list[CoreMatrix], design: DesignSet | None, rep: Repl
         for k, c in enumerate(cores):
             acc = np.zeros(rep.count + 1)
             for sl in slices:
-                acc += _quadratic_offdiag(c.h[sl, sl], signs[:, sl])
+                acc += _quadratic_offdiag(c, sl, signs)
             vals[k] = acc / (blocks * size * (size - 1))
         # a block's signs are all equal exactly when their sum, exact in any
         # order, is +-size
@@ -157,7 +170,12 @@ def wild_replicates(cores: list[CoreMatrix], design: DesignSet | None, rep: Repl
         for sl in slices:
             tied &= np.abs(signs[:, sl] @ np.ones(size)) == size
     else:
-        hv = np.stack([c.h[design.idx_i, design.idx_j] for c in cores])
+        hv = np.empty((len(cores), design.size))  # gathered from each block of rows
+        for k, c in enumerate(cores):
+            for lo in range(0, n, c.height):
+                pick = np.flatnonzero((design.idx_i >= lo) & (design.idx_i < lo + c.height))
+                h = c.block(slice(lo, min(lo + c.height, n)), slice(0, n))
+                hv[k, pick] = h[design.idx_i[pick] - lo, design.idx_j[pick]]
         tied = np.empty(rep.count + 1, dtype=bool)
         chunk = max(1, _CHUNK_ELEMENTS // design.size)
         for lo in range(0, rep.count + 1, chunk):
@@ -201,37 +219,41 @@ def mmd_permutation_replicates(
         row[sample_two_sample_permutation(rng, m, n)[:m]] = 1.0
     same = np.flatnonzero((masks == masks[0]).all(axis=1))
     vals = np.empty((len(specs), rep.count + 1))
-    gm, diag = np.empty((rep.count + 1, total)), np.empty(total)
+    diag = np.empty(total)
     blocks = _gram_row_blocks(m, n)
-    # the masked products are formed a block of replicates at a time, so
-    # that no third (B + 1, N) array sits next to the masks and gm; a row's
-    # sum does not depend on its block
-    rows = max(1, _GATHER_CHUNK_ELEMENTS // total)
+    # the rows of a block of columns are cut at m, so that every tile lies
+    # in one of the gram's X-X, X-Y, Y-X and Y-Y parts
+    halves = [(0, total)] if len(blocks) == 1 else [(0, m), (m, total)]
+    # one tile's product with the masks, in one buffer: a fresh (B + 1, N)
+    # array per kernel made the engine a quarter slower at N = 100, B = 499
+    prod = np.empty((rep.count + 1, max(b - a for a, b in blocks)))
     for k, spec in enumerate(specs):
-        # the gram is never held whole: gm, its diagonal and the sums of its
-        # X-X, X-Y and Y-Y parts are read from blocks of its rows, each made
-        # from the distance cache.  The gram is symmetric, so rows a:b
-        # transposed are its columns a:b; the whole gram is multiplied as it
-        # is, since BLAS may round a product with a transposed factor
-        # differently
+        # the gram is never held whole: each tile is made from the distance
+        # cache, and its product with the masks is reduced at once into the
+        # per-replicate sums, a block of replicates at a time; the diagonal
+        # and the sums of the X-X, X-Y and Y-Y parts are read from the tiles
         xx = xy = yy = whole = 0.0
+        s_xx, s_xy = np.zeros(rep.count + 1), np.zeros(rep.count + 1)
         for a, b in blocks:
-            g = data.distances.gram(spec, slice(a, b))
-            np.matmul(masks, g if len(blocks) == 1 else g.T, out=gm[:, a:b])
-            diag[a:b] = np.diagonal(g[:, a:b])
-            whole += g.sum()
-            y_start = max(0, m - a)  # the block's first row of Y
-            xx += g[:y_start, :m].sum()
-            xy += g[:y_start, m:].sum()
-            yy += g[y_start:, m:].sum()
-            del g  # freed before the next block is made
-        s_xx, s_xy = np.empty(rep.count + 1), np.empty(rep.count + 1)
-        for lo in range(0, rep.count + 1, rows):
-            within = gm[lo : lo + rows] * masks[lo : lo + rows]
-            s_xx[lo : lo + rows] = within.sum(axis=1)
-            # masks are 0/1 and gm >= 0, so gm - gm * masks is exactly gm * (1 - masks)
-            np.subtract(gm[lo : lo + rows], within, out=within)
-            s_xy[lo : lo + rows] = within.sum(axis=1)
+            for c, d in halves:
+                g = data.distances.gram(spec, slice(c, d), slice(a, b))
+                tile = np.matmul(masks[:, c:d], g, out=prod[:, : b - a])  # rows c:d's share of columns a:b
+                if c <= a < d:
+                    diag[a:b] = np.diagonal(g[a - c : b - c])
+                whole += g.sum()
+                y_row, y_col = max(0, m - c), max(0, m - a)  # the tile's first row and column of Y
+                xx += g[:y_row, :y_col].sum()
+                xy += g[:y_row, y_col:].sum()
+                yy += g[y_row:, y_col:].sum()
+                del g  # freed before the products are reduced
+                rows = max(1, _GATHER_CHUNK_ELEMENTS // (b - a))
+                for lo in range(0, rep.count + 1, rows):
+                    within = tile[lo : lo + rows] * masks[lo : lo + rows, a:b]
+                    s_xx[lo : lo + rows] += within.sum(axis=1)
+                    # masks are 0/1 and the gram >= 0, so tile - tile * masks is exactly tile * (1 - masks)
+                    np.subtract(tile[lo : lo + rows], within, out=within)
+                    s_xy[lo : lo + rows] += within.sum(axis=1)
+                del within  # freed before the next tile is made
         s_yy = whole - s_xx - 2.0 * s_xy
         # the original's sums are read from the gram's blocks, so samples with
         # identical halves give equal sums and a statistic of exactly 0; the
@@ -262,11 +284,11 @@ def hsic_permutation_replicates(
     if statistic not in STATISTIC_KINDS:
         raise ValueError(f"unknown statistic kind {statistic!r}")
     n = data.n
-    perms = np.empty((rep.count + 1, n), dtype=np.intp)
+    perms = np.empty((rep.count + 1, n), dtype=np.int32)
     perms[0] = np.arange(n)
     for b, rng in enumerate(stream(rep.seed, TAG_REPLICATE, range(rep.count)), start=1):
         perms[b] = sample_paired_permutation(rng, n)
-    inverses = np.argsort(perms, axis=1)
+    inverses = np.argsort(perms, axis=1).astype(np.int32)
     # sum_ij K[i, j] L[p_i, p_j] = sum_ik K[i, q_k] L[p_i, k] with q = p^-1:
     # a column and a row gather in place of one scattered (i, j) gather.  A
     # step gathers a block of rows of both factors for a chunk of replicates
@@ -325,9 +347,9 @@ def collection_replicates(
     if statistic is not None:
         raise ValueError("wild-bootstrap statistics are design means; the statistic kind is not configurable")
     if framework == "mmd":
-        cores = [core_matrix_mmd(spec, data) for spec in kernel_entries]
+        cores = [mmd_core_rows(spec, data) for spec in kernel_entries]
     elif framework == "hsic":
-        cores = [core_matrix_hsic_wild(kx, ky, data) for kx, ky in kernel_entries]
+        cores = [hsic_wild_core_rows(kx, ky, data) for kx, ky in kernel_entries]
     else:
         cores = [core_matrix_ksd(spec, data) for spec in kernel_entries]
     return wild_replicates(cores, design, rep)

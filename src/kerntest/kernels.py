@@ -55,13 +55,19 @@ are accumulated over the dimensions instead, as L1 distances accumulate
 symmetric with a zero diagonal, so its grams are exactly symmetric with
 diagonal ``kernel_bound``, and so are its Stein matrices.
 
-Bandwidths are read from order statistics of the squared distances: one
-single-kth partition per median or quantile finds the one or two that
-``np.median`` or ``np.quantile`` would read, and only those are
-square-rooted.  ``sqrt`` is monotone and correctly rounded, so the result
-equals numpy's on the square-rooted distances bit for bit.  Only the
-derivative matrices, behind the scalar oracle ``stein_kernel``, form
-(m, n, d) tensors.
+Bandwidths are read from order statistics of the positive squared
+distances of the strict upper triangle.  Up to N = 256 one step copies and
+partitions it; above that it is not copied: brackets around the wanted
+quantiles come from a sample of the pairs (i, i + o mod N) for a few fixed
+offsets o, which spreads over every point (distances that share a point
+are correlated, so a few rows or a strided grid miss), and one pass over
+the triangle counts the zeros and the entries below each bracket and
+copies those inside it; a rank between brackets is bracketed again in its
+gap, with a wider margin.  Only the
+order statistics ``np.median`` or ``np.quantile`` read are square-rooted;
+``sqrt`` is monotone and correctly rounded, so the result is numpy's on
+the square-rooted distances bit for bit.  Only the derivative matrices,
+behind the scalar oracle ``stein_kernel``, form (m, n, d) tensors.
 """
 
 from __future__ import annotations
@@ -193,6 +199,14 @@ _ROW_BLOCK_ELEMENTS = 1 << 13
 _DISTANCE_BLOCK_ELEMENTS = 1 << 14
 # Side of the square tiles in which a Stein matrix is symmetrised.
 _SYMMETRISE_TILE = 128
+# Entries of one step of the bandwidth selection's pass over the upper
+# triangle; up to N = 256 one step copies all of it.
+_SELECT_BLOCK_ELEMENTS = 1 << 16
+# Diagonal offsets whose distances sample the triangle for the selection's
+# brackets, and a bracket's half-width around quantile q, in standard
+# deviations sqrt(s q (1 - q)) of q's rank in a sample of size s.
+_SAMPLE_OFFSETS = 8
+_SAMPLE_MARGIN = 4.0
 # Below this dimension, accumulating squared coordinate differences takes
 # fewer passes over the (m, n) buffer than the BLAS form, and is exact.
 _BLAS_MIN_DIM = 3
@@ -315,6 +329,8 @@ def _distance_gram(
     The one gram formula: every gram, from a dataset's cached distances or
     from ``gram_matrix``'s own pass, is made here.
     """
+    if out is None and not D.flags.c_contiguous:
+        out = D = D.copy()  # a ufunc on a strided view would take a 64 KiB buffer
     if spec.family == "gaussian":
         G = np.multiply(D, -(0.5 / scale**2), out=out)
         np.exp(G, out=G)
@@ -606,61 +622,93 @@ def stein_kernel_bound(spec: KernelSpec, dim: int, score_bound: float) -> float:
     return K * score_bound**2 + 2.0 * G * score_bound + H
 
 
-def _upper_squared(points) -> tuple[np.ndarray, int]:
-    """The squared pairwise distances of the strict upper triangle, as a new
-    array, and how many of them are zero.
+def _bracket_pass(squared: np.ndarray, brackets: list) -> list:
+    """(lo, hi, the count of triangle entries <= lo, the entries in (lo, hi])
+    for each bracket (lo, hi): a block of rows at a time, the triangle of its
+    diagonal square and the part right of it (copied to one buffer) are read."""
+    n = squared.shape[0]
+    rows = max(1, _SELECT_BLOCK_ELEMENTS // n)
+    upper, buf = ~np.tri(min(rows, n), dtype=bool), np.empty(rows * max(0, n - rows))
+    below, kept = [0] * len(brackets), []
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        right = buf[: (b - a) * (n - b)]
+        right.reshape(b - a, n - b)[...] = squared[a:b, b:]
+        for piece in (squared[a:b, a:b][upper[: b - a, : b - a]], right):
+            keep = None
+            for i, (lo, hi) in enumerate(brackets):
+                low = piece <= lo
+                below[i] += np.count_nonzero(low)
+                if hi > lo:
+                    low ^= piece <= hi
+                    keep = low if keep is None else keep | low
+            kept.append(piece[:0] if keep is None else np.compress(keep, piece))
+    kept = np.concatenate(kept)
+    return [(lo, hi, c, kept[(kept > lo) & (kept <= hi)]) for (lo, hi), c in zip(brackets, below)]
 
-    Distances are never negative, so order statistic k of the positive
-    distances is order statistic ``zeros + k`` of the array.
-    """
+
+def _order_statistics(points, qs: tuple) -> tuple[int, dict]:
+    """The count of positive squared distances in the strict upper triangle,
+    and {rank: value} for the order statistics ``np.quantile`` reads for
+    each q in ``qs``; see the module docstring."""
     dists = _distances(points)
     n = dists.points.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
-    squared = dists.squared
-    # row by row into one array: the same values in the same order as a
-    # boolean mask of the triangle picks them, without the (n, n) mask
-    vals = np.empty(n * (n - 1) // 2)
-    end = 0
-    for i in range(n - 1):
-        start, end = end, end + n - 1 - i
-        vals[start:end] = squared[i, i + 1 :]
-    zeros = vals.size - np.count_nonzero(vals)
-    if zeros == vals.size:
+    squared, total, margin = dists.squared, n * (n - 1) // 2, _SAMPLE_MARGIN
+    if n * n <= _SELECT_BLOCK_ELEMENTS:  # one step: a copy of the triangle holds every rank
+        upper = np.tri(n, dtype=bool)
+        vals = squared[np.logical_not(upper, out=upper)]
+        zeros = total - np.count_nonzero(vals)
+        table = [(-math.inf, math.inf, 0, vals), (math.inf, math.inf, total, vals[:0])]
+    else:
+        idx = np.arange(n)
+        offsets = np.unique(np.linspace(1, n // 2, _SAMPLE_OFFSETS).astype(int))
+        sample = np.sort(np.concatenate([squared[idx, (idx + o) % n] for o in offsets]))
+        positive = sample[np.count_nonzero(sample == 0.0) :]
+
+        def bracket(q: float, margin: float) -> tuple[float, float]:
+            at, half = q * (positive.size - 1), margin * math.sqrt(sample.size * q * (1.0 - q)) + 1.0
+            lo, hi = math.floor(at - half), math.ceil(at + half)
+            return float(positive[lo]) if lo >= 0 else 0.0, float(positive[hi]) if hi < positive.size else math.inf
+
+        # the first bracket counts the zeros; a sentinel closes the table
+        table = _bracket_pass(squared, [(0.0, 0.0)] + [bracket(q, margin) for q in qs])
+        table.append((math.inf, math.inf, total, np.empty(0)))
+        zeros = table[0][2]
+    if zeros == total:
         raise ValueError("all points are identical: no positive pairwise distance")
-    return vals, zeros
+    count = total - zeros
+    # the one or two order statistics np.quantile reads for each q
+    ranks = sorted({min(count - 1, math.floor((count - 1) * q) + d) for q in qs for d in (0, 1)})
+    while True:  # ascending; a rank's home is the first entry whose top lies above it
+        table.sort(key=lambda e: e[:2])
+        homes = [next(j for j, e in enumerate(table) if zeros + r < e[2] + e[3].size) for r in ranks]
+        missed = {j: r for r, j in zip(ranks, homes) if zeros + r < table[j][2]}
+        if not missed:
+            break
+        margin = max(1.0, 8.0 * margin)
+        fresh = [(j, bracket(r / max(1, count - 1), margin)) for j, r in missed.items()]
+        fresh = [(max(lo, table[j - 1][1]), min(hi, table[j][0])) for j, (lo, hi) in fresh]
+        table += _bracket_pass(squared, [(lo, hi) for lo, hi in fresh if lo < hi])
+    values, last = {}, None
+    for r, j in zip(ranks, homes):  # ascending: each partition leaves the ranks above it above
+        _, _, below, inside = table[j]
+        k, start = zeros + r - below, last[1] if last and last[0] == j else 0
+        inside[start:].partition(k - start)
+        values[r], last = float(inside[k]), (j, k + 1)
+    return count, values
 
 
-def _neighbours(vals: np.ndarray, k: int) -> tuple[float, float]:
-    """Order statistics k and k + 1 of vals (0-based), reordering vals.
-
-    One single-kth partition at whichever of the two lies nearer an end of
-    the array; the other is the max of the part below it or the min of the
-    part above it, whichever is the smaller.
-    """
-    if k + 1 <= vals.size - 1 - k:
-        vals.partition(k + 1)
-        return float(vals[: k + 1].max()), float(vals[k + 1])
-    vals.partition(k)
-    return float(vals[k]), float(vals[k + 1 :].min())
-
-
-def _distance_quantile(vals: np.ndarray, zeros: int, q: float) -> float:
-    """``np.quantile`` (linear method) of the square roots of the positive
-    entries of vals, taking only the one or two square roots it reads.
-
-    sqrt is monotone and correctly rounded, so the order statistics of the
-    roots are the roots of the order statistics; the index and the
-    interpolation repeat numpy's arithmetic, so the result is bit for bit
-    numpy's.
-    """
-    count = vals.size - zeros
+def _distance_quantile(count: int, values: dict, q: float) -> float:
+    """``np.quantile`` (linear method) of the square roots of the ``count``
+    positive squared distances, from the order statistics it reads, with
+    numpy's index and interpolation arithmetic, so bit for bit numpy's."""
     virtual = (count - 1) * q
     if virtual >= count - 1:
-        return math.sqrt(float(vals.max()))
+        return math.sqrt(values[count - 1])
     below = math.floor(virtual)
-    lo, hi = _neighbours(vals, zeros + below)
-    a, b = math.sqrt(lo), math.sqrt(hi)
+    a, b = math.sqrt(values[below]), math.sqrt(values[below + 1])
     t = virtual - below
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
@@ -673,14 +721,11 @@ def median_heuristic(points) -> float:
     squared distances are then read.  Bit for bit ``np.median`` of the
     square-rooted distances, with only the one or two roots it reads taken.
     """
-    vals, zeros = _upper_squared(points)
-    count = vals.size - zeros
-    half = zeros + count // 2
+    count, values = _order_statistics(points, (0.5,))
+    half = count // 2
     if count % 2:
-        vals.partition(half)
-        return math.sqrt(float(vals[half]))
-    lo, hi = _neighbours(vals, half - 1)
-    return (math.sqrt(lo) + math.sqrt(hi)) / 2.0
+        return math.sqrt(values[half])
+    return (math.sqrt(values[half - 1]) + math.sqrt(values[half])) / 2.0
 
 
 def bandwidth_grid(points, count: int) -> np.ndarray:
@@ -694,9 +739,9 @@ def bandwidth_grid(points, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    vals, zeros = _upper_squared(points)
-    lo = _distance_quantile(vals, zeros, 0.05)
-    hi = _distance_quantile(vals, zeros, 0.95)
+    total, values = _order_statistics(points, (0.05, 0.95))
+    lo = _distance_quantile(total, values, 0.05)
+    hi = _distance_quantile(total, values, 0.95)
     if count == 1:
         return np.array([math.sqrt(lo * hi)])
     return np.geomspace(lo, hi, count)

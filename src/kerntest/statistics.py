@@ -12,19 +12,23 @@ core matrix H over index pairs:
 Two HSIC cores are provided.  ``core_matrix_hsic`` is the N x N
 doubly-centered product core of the permutation test; permuting the Y
 component conjugates its second factor, so the permutation engine reads
-the two centred factors (``hsic_centered_grams``) and never forms the
-product.  ``core_matrix_hsic_wild``
-splits the N paired samples in half and multiplies the two half-sample
-MMD cores; for that (N/2) x (N/2) core, flipping the sign of block i is
-exactly equivalent to swapping pairs i and i + N/2, which is what makes
-the wild bootstrap a permutation test.  The doubly-centered core does
-not satisfy that identity.
+the two centred factors (``hsic_centered_grams``, each gram centred in
+place a block of rows at a time) and never forms the product.
+``core_matrix_hsic_wild`` splits the N paired samples in half and
+multiplies the two half-sample MMD cores; for that (N/2) x (N/2) core,
+flipping the sign of block i is exactly equivalent to swapping pairs i
+and i + N/2, which is what makes the wild bootstrap a permutation test.
+The doubly-centered core does not satisfy that identity.  The wild engine
+reads the MMD and HSIC wild cores as ``CoreRows``, a block of rows at a
+time from the distance caches; ``core_matrix_mmd`` and
+``core_matrix_hsic_wild`` stack those blocks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +37,10 @@ from .kernels import KernelSpec, PointDistances, ScoreField
 
 FRAMEWORKS = ("mmd", "hsic", "ksd")
 
-# Cap on the entries of one (rows, N) block of gram rows from which the
-# pair-split core is written (256 KiB).
-_CORE_BLOCK_ELEMENTS = 1 << 15
+# Cap on the entries of one (rows, N/2) gram tile from which a block of rows
+# of a pair-split core is made, and of one row block of a gram being
+# centred (512 KiB): at N/2 = 512 a core block has 128 rows.
+_CORE_BLOCK_ELEMENTS = 1 << 16
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -205,6 +210,21 @@ class CoreMatrix:
     def n(self) -> int:
         return self.h.shape[0]
 
+    height = property(lambda self: self.n, doc="Rows per block read by the wild engine: all of them.")
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        return self.h[rows, cols]
+
+
+class CoreRows(NamedTuple):
+    """A core matrix never held whole: ``block(rows, cols)`` makes H[rows,
+    cols] as a new array, the matrix's own values bit for bit whatever the
+    block, and the wild engine reads ``height`` rows at a time."""
+
+    n: int
+    height: int
+    block: Callable[[slice, slice], np.ndarray]
+
 
 @dataclasses.dataclass(frozen=True)
 class HsicCoreMatrix(CoreMatrix):
@@ -296,29 +316,33 @@ class DesignSet:
         return cls(np.concatenate(ii), np.concatenate(jj))
 
 
-def _pair_split_mmd_core(spec: KernelSpec, dists: PointDistances, half: int) -> np.ndarray:
-    """Core k(a_i,a_j) - k(a_i,b_j) - k(a_j,b_i) + k(b_i,b_j) for the pairs
-    (a_i, b_i) = (P_i, P_{half+i}) of the points P behind ``dists``.
-
-    Written into one (half, half) array a block of rows at a time, from
-    gram blocks made from the distance cache.  k(a_j, b_i) is read from the
-    cache's (b, a) block; the cache is exactly symmetric, so that block is
-    the transpose of the (a, b) block bit for bit, and the core is exactly
-    symmetric.  (An anisotropic bandwidth has no cache, and its core is
-    symmetric up to rounding.)
+def _pair_split_block(parts: list, half: int, rows: slice, cols: slice) -> np.ndarray:
+    """Block [rows, cols], as a new array, of the entrywise product over the
+    (spec, dists) in ``parts`` of the core k(a_i,a_j) - k(a_i,b_j) -
+    k(a_j,b_i) + k(b_i,b_j), (a_i, b_i) = (P_i, P_{half+i}) for the points P
+    behind ``dists``.  Each core is made from four gram tiles of the distance
+    cache, at most two held at once, so no value depends on the block; the
+    cache is exactly symmetric, and so is the core.  (An anisotropic
+    bandwidth has no cache: each tile makes its own scaled pass, so its core
+    moves with the block in the last digits.)
     """
-    first, second = slice(None, half), slice(half, None)
-    h = np.empty((half, half))
-    rows = max(1, _CORE_BLOCK_ELEMENTS // (2 * half))
-    for lo in range(0, half, rows):
-        hi = min(lo + rows, half)
-        # rows i of k(a, .) and k(b, .): [kaa | kab] and [kba | kbb]
-        ga = dists.gram(spec, slice(lo, hi))
-        gb = dists.gram(spec, slice(half + lo, half + hi))
-        cross = ga[:, second] + gb[:, first]
-        out = h[lo:hi]
-        np.subtract(ga[:, first], cross, out=out)
-        out += gb[:, second]
+    far_rows, far_cols = slice(rows.start + half, rows.stop + half), slice(cols.start + half, cols.stop + half)
+    out = None
+    for spec, dists in parts:
+        h = dists.gram(spec, rows, far_cols)  # k(a_i, b_j)
+        h += dists.gram(spec, far_rows, cols)  # k(b_i, a_j)
+        np.subtract(dists.gram(spec, rows, cols), h, out=h)
+        h += dists.gram(spec, far_rows, far_cols)
+        out = h if out is None else np.multiply(out, h, out=out)
+    return out
+
+
+def _stacked(core: CoreRows) -> np.ndarray:
+    """The (n, n) matrix of a streamed core, its row blocks stacked."""
+    h = np.empty((core.n, core.n))
+    for lo in range(0, core.n, core.height):
+        rows = slice(lo, min(lo + core.height, core.n))
+        h[rows] = core.block(rows, slice(0, core.n))
     return h
 
 
@@ -330,29 +354,37 @@ def core_bound(entry, data: TwoSampleData | PairedData) -> float:
     return 4.0 * kernels.kernel_bound(entry, data.x.shape[1])
 
 
+def mmd_core_rows(spec: KernelSpec, data: TwoSampleData) -> CoreRows:
+    """``core_matrix_mmd``'s core, streamed from the merged sample's distances."""
+    if data.m != data.n:
+        raise ValueError(
+            "the one-sample MMD core requires m == n; use the permutation test "
+            "on the merged sample for unequal sample sizes"
+        )
+    block = functools.partial(_pair_split_block, [(spec, data.distances)], data.m)
+    return CoreRows(data.m, max(1, _CORE_BLOCK_ELEMENTS // data.m), block)
+
+
 def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> CoreMatrix:
     """One-sample second-order MMD core for paired two-sample data (m = n).
 
     H[i, j] = k(X_i, X_j) - k(X_j, Y_i) - k(X_i, Y_j) + k(Y_i, Y_j).
     Swapping a pair (X_i, Y_i) negates row and column i.
     """
-    if data.m != data.n:
-        raise ValueError(
-            "the one-sample MMD core requires m == n; use the permutation test "
-            "on the merged sample for unequal sample sizes"
-        )
-    h = _pair_split_mmd_core(spec, data.distances, data.m)
+    h = _stacked(mmd_core_rows(spec, data))
     return CoreMatrix(h=h, kernel_bound=core_bound(spec, data), framework="mmd")
 
 
 def _double_center(g: np.ndarray) -> np.ndarray:
     # G - (r 1' + 1 r') + mean(G); equals C G C and stays exactly symmetric.
-    # Formed in one (N, N) buffer, so centring holds G and its result only.
-    row = g.mean(axis=0)
-    out = row[:, None] + row[None, :]
-    np.subtract(g, out, out=out)
-    out += g.mean()
-    return out
+    # Centred in place a block of rows at a time, so centring holds G only.
+    row, mean = g.mean(axis=0), g.mean()
+    rows = max(1, _CORE_BLOCK_ELEMENTS // g.shape[0])
+    for lo in range(0, g.shape[0], rows):
+        block = g[lo : lo + rows]
+        np.subtract(block, row[lo : lo + rows, None] + row[None, :], out=block)
+        block += mean
+    return g
 
 
 def hsic_centered_grams(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> tuple[np.ndarray, np.ndarray]:
@@ -380,12 +412,17 @@ def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> C
     swapping (X_i, Y_i) with (X_{i+n}, Y_{i+n})'s Y component, i.e. the
     permutation that swaps i with i + N/2.
     """
+    h = _stacked(hsic_wild_core_rows(kx, ky, data))
+    return CoreMatrix(h=h, kernel_bound=core_bound((kx, ky), data), framework="hsic")
+
+
+def hsic_wild_core_rows(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreRows:
+    """``core_matrix_hsic_wild``'s core, streamed from the components' distances."""
     if data.n % 2 != 0:
         raise ValueError("the wild-bootstrap HSIC core requires an even number of pairs")
-    n = data.n // 2
-    h = _pair_split_mmd_core(kx, data.x_distances, n)
-    h *= _pair_split_mmd_core(ky, data.y_distances, n)
-    return CoreMatrix(h=h, kernel_bound=core_bound((kx, ky), data), framework="hsic")
+    half = data.n // 2
+    block = functools.partial(_pair_split_block, [(kx, data.x_distances), (ky, data.y_distances)], half)
+    return CoreRows(half, max(1, _CORE_BLOCK_ELEMENTS // half), block)
 
 
 def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 
@@ -17,3 +19,22 @@ def recorded(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls ``fn`` once untraced, which sets up numpy
+    internals, then returns the peak bytes tracemalloc sees during a second
+    call.  Anything ``fn`` reads that belongs to its inputs (a dataset's
+    distance cache, say) must be built before, so that it is not counted."""
+
+    def measure(fn) -> int:
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,31 +248,25 @@ def test_accumulated_distances_in_row_blocks_equal_one_whole_pass(dim, square, s
     assert np.array_equal(kernels_module._accumulated_distances(a, b, lam, square), want)
 
 
-def test_large_gram_and_bandwidth_memory():
+def test_large_gram_and_bandwidth_memory(traced_peak):
     # the (m, n, d) difference tensor of 1024 x 50 points alone takes 400 MiB
     pts = np.random.default_rng(45).normal(size=(1024, 50))
-    tracemalloc.start()
-    try:
-        gram_matrix(gaussian_kernel(median_heuristic(pts)), pts, pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: gram_matrix(gaussian_kernel(median_heuristic(pts)), pts, pts))
     assert peak < 80 * 2**20
 
 
-def test_median_heuristic_holds_one_triangle_of_distances():
+def test_median_heuristic_holds_one_triangle_of_distances(traced_peak):
     n = 1024
     dists = PointDistances(np.random.default_rng(47).normal(size=(n, 5)))
     dists.squared  # cached before tracing: it is the point set's, not the rule's
-    median_heuristic(dists)  # the first call also sets up numpy internals
-    tracemalloc.start()
-    try:
-        median_heuristic(dists)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the strict upper triangle and O(n): an (n, n) boolean mask, 1 MiB, breaks this
-    assert peak <= n * (n - 1) // 2 * 8 + 64 * n + 2**16
+    peak = traced_peak(lambda: median_heuristic(dists))
+    # no copy of the triangle: one block of it as floats and two bool masks,
+    # the sample (its gathers, their concatenation and its sorted copy), and
+    # three copies of the bracket's entries, which hold about 4.4% of the
+    # triangle here (a sixteenth is allowed); half the triangle, 2 MiB, breaks this
+    selected = n * (n - 1) // 2 // 16
+    allowed = 10 * kernels_module._SELECT_BLOCK_ELEMENTS + 32 * kernels_module._SAMPLE_OFFSETS * n
+    assert peak <= allowed + 3 * 8 * selected + 2**16
 
 
 # --- bandwidth selection ---------------------------------------------------
@@ -330,6 +323,48 @@ def _bandwidth_point_sets():
                 yield f"d{dim}-n{n}-duplicates", dup
                 yield f"d{dim}-n{n}-ties", np.round(2.0 * pts)  # repeated distances
         yield f"d{dim}-one-distance", np.vstack([np.zeros((3, dim)), np.ones((1, dim))])
+
+
+def _selection_point_sets():
+    """Sets on both sides of the selection's one-step cut (N = 256), with
+    zeros and ties, and a circle whose diagonal sample sees only 8 distances."""
+    rng = np.random.default_rng(61)
+    for n in (2, 3, 255, 256, 257, 400):
+        pts = rng.normal(size=(n, 3))
+        yield f"n{n}", pts
+        if n > 3:
+            yield f"n{n}-five-points", pts[rng.integers(0, 5, size=n)]  # mostly zeros, the rest tied
+            yield f"n{n}-duplicates", np.vstack([pts[: n // 2], pts[: n - n // 2]])
+            yield f"n{n}-all-but-one-identical", np.vstack([np.zeros((n - 1, 3)), np.ones((1, 3))])
+            yield f"n{n}-ties", np.round(2.0 * pts[:, :1])
+            angle = 2.0 * math.pi * np.arange(n) / n
+            yield f"n{n}-circle", np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+@pytest.mark.parametrize("name, points", list(_selection_point_sets()))
+def test_selection_equals_numpy_across_the_one_step_cut(name, points):
+    assert (len(points) ** 2 <= kernels_module._SELECT_BLOCK_ELEMENTS) == (len(points) <= 256)
+    for count in (1, 10):
+        median, grid = _numpy_bandwidths(points, count)
+        assert median_heuristic(points) == median
+        assert np.array_equal(bandwidth_grid(points, count), grid)
+
+
+# with a single positive distance value, every bracket runs from 0 to inf
+MISSABLE_SETS = [c for c in _selection_point_sets() if len(c[1]) > 256 and "one" not in c[0]]
+
+
+@pytest.mark.parametrize("name, points", MISSABLE_SETS)
+def test_selection_is_exact_after_bracket_misses(name, points, monkeypatch, recorded):
+    # brackets one sample rank wide from a one-offset sample almost always
+    # miss: the misses are bracketed again until they hit
+    monkeypatch.setattr(kernels_module, "_SAMPLE_MARGIN", 0.0)
+    monkeypatch.setattr(kernels_module, "_SAMPLE_OFFSETS", 1)
+    passes = recorded(kernels_module, "_bracket_pass")
+    median, grid = _numpy_bandwidths(points, 10)
+    assert median_heuristic(points) == median
+    assert np.array_equal(bandwidth_grid(points, 10), grid)
+    assert len(passes) > 2  # at least one of the two selections missed
 
 
 @pytest.mark.parametrize("name, points", list(_bandwidth_point_sets()))

@@ -1,11 +1,10 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from kerntest import constrained, engines, testing
+from kerntest import constrained, engines, statistics, testing
 from kerntest.engines import collection_replicates
 from kerntest.harness import run as harness_run
 from kerntest.harness.generators import builtin_generator
@@ -565,31 +564,21 @@ def test_sign_matrix_rows_are_rademacher_draws(seed, count):
             assert np.array_equal(signs[b + 1], rademacher(rng, n))
 
 
-def _traced_peak(fn) -> int:
-    fn()  # the first call also sets up numpy internals
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sign_matrix_allocates_its_result_and_little_more():
+def test_sign_matrix_allocates_its_result_and_little_more(traced_peak):
     count, n = 499, 2048
-    peak = _traced_peak(lambda: engines._sign_matrix(3, count, n))
+    peak = traced_peak(lambda: engines._sign_matrix(3, count, n))
     # the B generator states take a few hundred bytes each and one
     # replicate's raw words 4n bytes: a (B, n) temporary of any dtype breaks this
     assert peak <= (count + 1) * n * 8 + 512 * count + 64 * n + 2**16
 
 
-def test_mmd_permutation_replicates_allocate_masks_products_and_little_more():
+def test_mmd_permutation_replicates_allocate_masks_products_and_little_more(traced_peak):
     count, m = 499, 100
     rng = np.random.default_rng(8)
     two = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
     two.distances.squared  # cached before tracing: it is the dataset's, not the engine's
     rep = ReplicateSpec(count=count, seed=4)
-    peak = _traced_peak(lambda: engines.mmd_permutation_replicates(two, [gaussian_kernel(1.0)], rep, "u"))
+    peak = traced_peak(lambda: engines.mmd_permutation_replicates(two, [gaussian_kernel(1.0)], rep, "u"))
     rows, total = count + 1, 2 * m
     # masks and masks @ gram, the gram, one block of masked products, the
     # (rows, N) comparison with the original's mask as bools, the B generator
@@ -599,20 +588,21 @@ def test_mmd_permutation_replicates_allocate_masks_products_and_little_more():
     assert peak <= allowed
 
 
-def test_mmd_permutation_replicates_hold_no_gram_at_n_1024():
+def test_mmd_permutation_replicates_hold_no_gram_at_n_1024(traced_peak):
     count, m = 199, 512
     rng = np.random.default_rng(9)
     two = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
     two.distances.squared  # cached before tracing: it is the dataset's, not the engine's
     rep = ReplicateSpec(count=count, seed=4)
-    peak = _traced_peak(lambda: engines.mmd_permutation_replicates(two, [gaussian_kernel(1.0)], rep, "u"))
+    peak = traced_peak(lambda: engines.mmd_permutation_replicates(two, [gaussian_kernel(1.0)], rep, "u"))
     rows, total = count + 1, 2 * m
     height = max(engines._GRAM_BLOCK_MIN_ROWS, engines._GATHER_CHUNK_ELEMENTS // total)
-    # masks and gm, one block of gram rows, one block of masked products, the
-    # (rows, N) comparison with the original's mask as bools, the B generator
-    # states and O(rows + N) vectors: the (N, N) gram, 8 MiB, or a second
-    # block of gram rows breaks this
-    allowed = 2 * rows * total * 8 + (height * total + engines._GATHER_CHUNK_ELEMENTS) * 8
+    # the masks, one tile of the gram and its (rows, height) product with the
+    # masks, one block of masked products, the (rows, N) comparison with the
+    # original's mask as bools, the B generator states and O(rows + N)
+    # vectors: the (N, N) gram, 8 MiB, a (rows, N) float array, 1.5 MiB, or
+    # a second tile breaks this
+    allowed = rows * total * 8 + height * m * 8 + 2 * rows * height * 8
     allowed += rows * total + 512 * count + 64 * (rows + total) + 2**16
     assert peak <= allowed
 
@@ -775,20 +765,130 @@ def test_wild_single_test_counts_replicates_tied_with_the_original(
 
 
 @pytest.mark.parametrize("statistic", ["u", "sqrt_v"])
-def test_hsic_permutation_replicates_gather_blocks_not_matrices(statistic, monkeypatch):
+def test_hsic_permutation_replicates_gather_blocks_not_matrices(statistic, monkeypatch, traced_peak):
     count, n = 199, 512
     data, pairs = _hsic_case(n, 1)
     grams = engines.hsic_centered_grams(*pairs[0], data)
     # the centred grams are built before tracing, so the peak is the engine's own
     monkeypatch.setattr(engines, "hsic_centered_grams", lambda kx, ky, data: grams)
     rep = ReplicateSpec(count=count, seed=4)
-    peak = _traced_peak(lambda: engines.hsic_permutation_replicates(data, pairs, rep, statistic))
+    peak = traced_peak(lambda: engines.hsic_permutation_replicates(data, pairs, rep, statistic))
     rows = count + 1
     # perms, their inverses, the per-row sums and the u trace's diagonal
     # products, two gathered blocks, the B generator states and O(rows + n)
     # vectors: one (n, n) temporary, or the grams stacked, breaks this
     allowed = 4 * rows * n * 8 + engines._GATHER_CHUNK_ELEMENTS * 8 + 512 * count + 64 * (rows + n) + 2**16
     assert peak <= allowed
+
+
+def test_hsic_permutation_replicates_hold_two_grams_at_n_1024(traced_peak):
+    count, n = 199, 1024
+    data, pairs = _hsic_case(n, 1)
+    data.x_distances.squared, data.y_distances.squared  # cached before tracing: they are the dataset's
+    rep = ReplicateSpec(count=count, seed=4)
+    peak = traced_peak(lambda: engines.hsic_permutation_replicates(data, pairs, rep, "v"))
+    rows = count + 1
+    # the two grams, each centred in place a block of rows at a time, the
+    # perms and their inverses as int32, the per-row sums, two gathered
+    # blocks, the B generator states and O(rows + n) vectors: a third gram,
+    # 8 MiB, or the indices as intp, 1.6 MB more, break this
+    allowed = 2 * n * n * 8 + 2 * rows * n * 4 + rows * n * 8
+    allowed += (engines._GATHER_CHUNK_ELEMENTS + statistics._CORE_BLOCK_ELEMENTS) * 8
+    assert peak <= allowed + 512 * count + 64 * (rows + n) + 2**16
+
+
+@pytest.mark.parametrize("framework", ["mmd", "hsic"])
+def test_wild_engine_holds_no_core_at_n_1024(framework, traced_peak):
+    count, m = 199, 512
+    rng = np.random.default_rng(10)
+    if framework == "mmd":
+        data, entries = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3))), [GAUSS]
+        data.distances.squared  # cached before tracing: it is the dataset's, not the engine's
+    else:
+        data = PairedData.from_parts(rng.normal(size=(2 * m, 2)), rng.normal(size=(2 * m, 1)))
+        entries = [(GAUSS, GAUSS)]
+        data.x_distances.squared, data.y_distances.squared
+    rep = ReplicateSpec(count=count, method="wild_bootstrap", seed=4)
+    peak = traced_peak(lambda: collection_replicates(data, entries, rep))
+    rows, height = count + 1, statistics._CORE_BLOCK_ELEMENTS // m
+    assert height < m
+    # the signs, a block of core rows and the tiles it is made from (two for
+    # MMD; HSIC holds the X block while the Y block's two are made), the
+    # block's (rows, height) product with the signs, the B generator states
+    # and O(rows + m) vectors: the (m, m) core, 2 MiB, breaks this
+    allowed = rows * m * 8 + 3 * statistics._CORE_BLOCK_ELEMENTS * 8 + rows * height * 8
+    assert peak <= allowed + 512 * count + 64 * (rows + m) + 2**16
+
+
+def _whole_core_wild(hs, design, rep):
+    """Wild replicates by the arithmetic on whole cores: ``signs @ h`` per
+    block, untransposed, or the design's gathered values times the sign
+    products; tied sign rows take the original's values."""
+    n = hs[0].shape[0]
+    signs = engines._sign_matrix(rep.seed, rep.count, n)
+    blocks = 1 if design is None else design.block_count
+    if blocks is None:
+        e = signs[:, design.idx_i] * signs[:, design.idx_j]
+        vals, tied = np.stack([h[design.idx_i, design.idx_j] for h in hs]) @ e.T / design.size, e.min(axis=1) > 0
+    else:
+        size = n // blocks
+        slices = [slice(b * size, (b + 1) * size) for b in range(blocks)]
+        vals = np.empty((len(hs), rep.count + 1))
+        for k, h in enumerate(hs):
+            acc = np.zeros(rep.count + 1)
+            for sl in slices:
+                q = signs[:, sl] @ h[sl, sl]
+                q *= signs[:, sl]
+                acc += q.sum(axis=1) - np.trace(h[sl, sl])
+            vals[k] = acc / (blocks * size * (size - 1))
+        tied = np.all([np.abs(signs[:, sl].sum(axis=1)) == size for sl in slices], axis=0)
+    vals[:, tied] = vals[:, :1]
+    return vals
+
+
+def _wild_cases():
+    rng = np.random.default_rng(13)
+    x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 0.3
+    specs = [gaussian_kernel(0.8), imq_kernel(1.2)]
+    two, paired = TwoSampleData(x, y), PairedData.from_parts(x, 0.5 * x + y)
+    mmd = [core_matrix_mmd(s, two).h for s in specs]
+    hsic = [core_matrix_hsic_wild(s, s, paired).h for s in specs]
+    for n, data, entries, hs in ((40, two, specs, mmd), (20, paired, [(s, s) for s in specs], hsic)):
+        for design in (None, DesignSet.block(n, 3), DesignSet.incomplete(n, 150)):
+            yield data, entries, hs, design
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_streamed_wild_in_one_block_is_the_whole_core_arithmetic(case):
+    data, entries, hs, design = list(_wild_cases())[case]
+    rep = ReplicateSpec(count=99, method="wild_bootstrap", seed=5)
+    got = collection_replicates(data, entries, rep, design=design)
+    assert np.array_equal(got, _whole_core_wild(hs, design, rep))
+
+
+@pytest.mark.parametrize("design", [{}, {"blocks": 3}, {"design_size": 200}])
+@pytest.mark.parametrize("budget", [100, 300])
+def test_streamed_wild_in_row_blocks_keeps_every_decision(budget, design, monkeypatch):
+    # m = 48 and 48 pairs: cores of 48 and 24 rows, read whole and then in
+    # blocks of budget // 48 and budget // 24 rows
+    rng = np.random.default_rng(14)
+    x, y = rng.normal(size=(48, 3)), rng.normal(size=(48, 3))
+    paired = PairedData.from_parts(x, 0.2 * x + rng.normal(size=(48, 3)))
+    wild = {"replicates": 199, "method": "wild_bootstrap", **design}
+    runs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(statistics, "_CORE_BLOCK_ELEMENTS", budget)
+        runs.append(
+            [two_sample_test(x, y + shift, gaussian_kernel(bw), seed=s, **wild)
+             for shift in (0.0, 0.4) for bw in (0.7, 1.5) for s in range(3)]
+            + [independence_test(paired, gaussian_kernel(bw), GAUSS, seed=s, **wild)
+               for bw in (0.7, 1.5) for s in range(3)]
+        )
+    for whole, blocked in zip(*runs, strict=True):
+        assert (whole.p_value, whole.reject) == (blocked.p_value, blocked.reject)
+        np.testing.assert_allclose(blocked.statistic, whole.statistic, rtol=1e-12)
+        np.testing.assert_allclose(blocked.threshold, whole.threshold, rtol=1e-12)
 
 
 def test_golden_draws_and_p_values():

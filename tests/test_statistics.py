@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,9 +396,9 @@ def test_wild_cores_are_blocks_of_the_cached_grams(spec):
 def test_wild_cores_written_in_row_blocks_equal_the_whole_gram_formula(spec):
     # several blocks of rows, the last one cut short, for both cores
     rng = np.random.default_rng(53)
-    x, y = rng.normal(size=(300, 3)), rng.normal(size=(300, 3)) + 0.5
-    for half in (300, 150):
-        rows = statistics._CORE_BLOCK_ELEMENTS // (2 * half)
+    x, y = rng.normal(size=(600, 3)), rng.normal(size=(600, 3)) + 0.5
+    for half in (600, 300):
+        rows = statistics._CORE_BLOCK_ELEMENTS // half
         assert 1 < rows < half and half % rows
 
     def pair_core(points, half):
@@ -408,25 +407,62 @@ def test_wild_cores_written_in_row_blocks_equal_the_whole_gram_formula(spec):
         return g[:half, :half] - (kab + kab.T) + g[half:, half:]
 
     mmd = core_matrix_mmd(spec, TwoSampleData(x, y))
-    assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 300))
+    assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 600))
     assert np.array_equal(mmd.h, mmd.h.T)
     hsic = core_matrix_hsic_wild(spec, spec, PairedData.from_parts(x, y))
-    assert np.array_equal(hsic.h, pair_core(x, 150) * pair_core(y, 150))
+    assert np.array_equal(hsic.h, pair_core(x, 300) * pair_core(y, 300))
     assert np.array_equal(hsic.h, hsic.h.T)
 
 
-def test_mmd_wild_core_holds_its_output_and_a_few_row_blocks():
+def test_mmd_wild_core_holds_its_output_and_a_few_row_blocks(traced_peak):
     m = 512
     rng = np.random.default_rng(54)
     data = TwoSampleData(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
     data.distances.squared  # cached before tracing: it is the dataset's, not the core's
-    core_matrix_mmd(GAUSS, data)  # the first call also sets up numpy internals
-    tracemalloc.start()
-    try:
-        core_matrix_mmd(GAUSS, data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the (m, m) output and at most four blocks of gram rows; any second
-    # (m, m) array, 2 MiB, breaks this
-    assert peak <= m * m * 8 + 4 * statistics._CORE_BLOCK_ELEMENTS * 8 + 2**16
+    peak = traced_peak(lambda: core_matrix_mmd(GAUSS, data))
+    # the (m, m) output and the two gram tiles a block of its rows is made
+    # from (the same bytes as the four half-size blocks allowed before); any
+    # second (m, m) array, 2 MiB, breaks this
+    assert peak <= m * m * 8 + 2 * statistics._CORE_BLOCK_ELEMENTS * 8 + 2**16
+
+
+@pytest.mark.parametrize("height", [None, 7])
+def test_wild_cores_stack_their_row_sources(height, monkeypatch):
+    # the held cores are their streamed sources' row blocks stacked, bit for
+    # bit, in one block and in blocks of 7 rows, the last cut short.  (An
+    # anisotropic bandwidth has no cache: each block makes its own scaled
+    # distance pass, whose rounding depends on the block.)
+    rng = np.random.default_rng(55)
+    x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 0.5
+    two, paired = TwoSampleData(x, y), PairedData.from_parts(x, y)
+    for spec in (gaussian_kernel(1.3), laplace_kernel(2.0, normalized=True), imq_kernel(0.9)):
+        hsic_rows = lambda: statistics.hsic_wild_core_rows(spec, spec, paired)  # noqa: E731
+        for half, held, source in (
+            (40, core_matrix_mmd(spec, two), lambda: statistics.mmd_core_rows(spec, two)),
+            (20, core_matrix_hsic_wild(spec, spec, paired), hsic_rows),
+        ):
+            if height is not None:
+                monkeypatch.setattr(statistics, "_CORE_BLOCK_ELEMENTS", height * half)
+            rows = source()
+            assert rows.n == half and (rows.height == height if height else rows.height >= half)
+            blocks = [rows.block(slice(a, min(a + rows.height, half)), slice(0, half))
+                      for a in range(0, half, rows.height)]
+            assert np.array_equal(held.h, np.vstack(blocks))
+            # any block is the matrix's own
+            assert np.array_equal(rows.block(slice(3, 11), slice(5, 17)), held.h[3:11, 5:17])
+
+
+def test_double_centring_in_place_matches_the_whole_matrix_formula():
+    # several row blocks of the in-place centring, against the formula on
+    # the whole matrix: G - (r_i + r_j) + mean(G) with r the column means
+    n = 300
+    assert 1 < statistics._CORE_BLOCK_ELEMENTS // n < n
+    rng = np.random.default_rng(56)
+    g = gram_matrix(GAUSS, rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+    g = 0.5 * (g + g.T)
+    row = g.mean(axis=0)
+    want = row[:, None] + row[None, :]
+    np.subtract(g, want, out=want)
+    want += g.mean()
+    got = statistics._double_center(g)
+    assert got is g and np.array_equal(got, want) and np.array_equal(got, got.T)

@@ -23,16 +23,17 @@ original's ties with it exactly: the MMD permutation and wild engines copy
 the original's values into it, and the HSIC permutation engine's sums do
 not depend on a replicate's position.
 
-The engines form no (N, N) matrix per replicate, and an MMD test holds
-the distance cache, the replicate draws and O(block + B N) beside it.  The
-MMD permutation engine makes its gram a tile at a time from the cache
-(blocks of columns, their rows cut at m) and reduces each tile's product
-with the masks straight into the per-replicate sums.  The wild engine
-reads every core through one row-block source: the MMD and HSIC cores
-are made a block of rows at a time from the caches (``CoreRows``) and are
-never held whole; the KSD Stein matrix is held and read whole.  The HSIC
-permutation engine reads the two doubly-centred grams and gathers, per
-step, a cache-sized block of rows of each for a chunk of replicates
+The engines form no (N, N) matrix per replicate, and an MMD or KSD test
+holds the distance cache, the replicate draws and O(block + B N) beside
+it.  The MMD permutation engine makes its gram a tile at a time from the
+cache (blocks of columns, their rows cut at m) and reduces each tile's
+product with the masks straight into the per-replicate sums.  The wild
+engine reads every core a block of rows at a time from the caches
+(``CoreRows``) and never holds one whole; the KSD Stein matrix is read
+before its averaging with the transpose, which quadratic forms do not
+need and a design's pairs make as they are read.  The HSIC permutation
+engine reads the two doubly-centred grams and gathers, per step, a
+cache-sized block of rows of each for a chunk of replicates
 (``_GATHER_CHUNK_ELEMENTS``), never their product core.
 """
 
@@ -58,16 +59,16 @@ from .statistics import (
     ModelSampleData,
     PairedData,
     TwoSampleData,
-    core_matrix_ksd,
     hsic_centered_grams,
     hsic_wild_core_rows,
+    ksd_core_rows,
     mmd_core_rows,
 )
 
 # No engine calls these: the HSIC permutation engine never forms the product
-# core, and the wild engine streams the MMD and HSIC cores.  They stay
+# core, and the wild engine streams the MMD, HSIC and KSD cores.  They stay
 # importable here because perfbench/spans.py TARGETS wraps them by name.
-from .statistics import core_matrix_hsic, core_matrix_hsic_wild, core_matrix_mmd  # noqa: F401
+from .statistics import core_matrix_hsic, core_matrix_hsic_wild, core_matrix_ksd, core_matrix_mmd  # noqa: F401
 
 STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
@@ -127,7 +128,9 @@ def _quadratic_offdiag(core, sl: slice, signs: np.ndarray) -> np.ndarray:
     for lo in range(sl.start, sl.stop, core.height):
         rows = slice(lo, min(lo + core.height, sl.stop))
         h = core.block(rows, sl)
-        q = s @ (h if whole else h.T)  # columns ``rows`` of s @ H[sl, sl]: H is symmetric
+        # q[:, r] is (eps' H)_r or, in several blocks, (H eps)_r for r in rows:
+        # either sums to eps' H eps, so H need not be symmetric
+        q = s @ (h if whole else h.T)
         q *= signs[:, rows]  # in place: one (B + 1, rows) temporary
         acc += q.sum(axis=1)
         trace += np.trace(h, offset=lo - sl.start)
@@ -135,12 +138,21 @@ def _quadratic_offdiag(core, sl: slice, signs: np.ndarray) -> np.ndarray:
     return acc - trace
 
 
+def _row_buckets(idx: np.ndarray, n: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, edges): ``order[edges[b] : edges[b + 1]]`` are the positions p
+    with ``idx[p]`` in row block b, rows [b height, (b + 1) height) of n."""
+    order = np.argsort(idx, kind="stable")
+    return order, np.searchsorted(idx[order], np.arange(0, n + height, height))
+
+
 def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -> np.ndarray:
     """Wild-bootstrap statistics (1/|D|) sum eps_i eps_j H[i, j].
 
     ``cores`` (``CoreMatrix`` or ``CoreRows``) are read a block of rows at a
-    time.  Returns the (K, B + 1) values, column 0 the original's (all-ones
-    signs); one shared sign vector per replicate across the K cores.  No
+    time; the statistics are those of (H + H') / 2, so a core need not be
+    symmetric.  Returns the (K, B + 1) values, column 0 the original's
+    (all-ones signs); one shared sign vector per replicate across the K
+    cores.  No
     design means all off-diagonal pairs, i.e. one block, for which no
     indices are built.  A sign row whose products eps_i eps_j are all +1 on
     the design (constant within every block) gets the original's values.
@@ -170,12 +182,22 @@ def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -
         for sl in slices:
             tied &= np.abs(signs[:, sl] @ np.ones(size)) == size
     else:
-        hv = np.empty((len(cores), design.size))  # gathered from each block of rows
+        # a pair reads (H[i, j] + H[j, i]) / 2 from the row blocks of i and j:
+        # H[i, j] bit for bit on a symmetric core; hv starts at -0.0, which
+        # adds to every float exactly
+        hv = np.full((len(cores), design.size), -0.0)
+        sides = ((design.idx_i, design.idx_j), (design.idx_j, design.idx_i))
+        buckets = {}
         for k, c in enumerate(cores):
-            for lo in range(0, n, c.height):
-                pick = np.flatnonzero((design.idx_i >= lo) & (design.idx_i < lo + c.height))
+            if c.height not in buckets:
+                buckets[c.height] = [_row_buckets(own, n, c.height) for own, _ in sides]
+            for b, lo in enumerate(range(0, n, c.height)):
                 h = c.block(slice(lo, min(lo + c.height, n)), slice(0, n))
-                hv[k, pick] = h[design.idx_i[pick] - lo, design.idx_j[pick]]
+                for (own, other), (order, edges) in zip(sides, buckets[c.height]):
+                    pick = order[edges[b] : edges[b + 1]]
+                    hv[k, pick] += h[own[pick] - lo, other[pick]]
+                del h  # freed before the next block is made
+        hv *= 0.5
         tied = np.empty(rep.count + 1, dtype=bool)
         chunk = max(1, _CHUNK_ELEMENTS // design.size)
         for lo in range(0, rep.count + 1, chunk):
@@ -351,5 +373,5 @@ def collection_replicates(
     elif framework == "hsic":
         cores = [hsic_wild_core_rows(kx, ky, data) for kx, ky in kernel_entries]
     else:
-        cores = [core_matrix_ksd(spec, data) for spec in kernel_entries]
+        cores = [ksd_core_rows(spec, data) for spec in kernel_entries]
     return wild_replicates(cores, design, rep)

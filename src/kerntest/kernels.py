@@ -21,11 +21,10 @@ both arguments, so only the families in ``STEIN_FAMILIES`` have one.  The
 Laplace kernel is not differentiable where two points share a coordinate,
 and the mixed second derivative of ``exp(-|t|)`` has a Dirac part at
 ``t = 0``; a Stein kernel built from its almost-everywhere derivatives
-does not have mean zero under the model.  So the Stein and derivative
-builders raise ``ValueError`` for it, and Laplace is a kernel for grams,
-MMD and HSIC only.  First and mixed second derivatives of the Gaussian and
-IMQ kernels are computed analytically; finite differences are used only as
-a test oracle.
+does not have mean zero under the model.  So the Stein matrix and the
+derivative bounds raise ``ValueError`` for it, and Laplace is a kernel for
+grams, MMD and HSIC only.  The Stein matrices of the Gaussian and IMQ
+kernels are made in closed form (``stein_blocks``).
 
 Precision contract of the matrix builders.  A point set has one pass of
 unscaled squared Euclidean distances, kept in its ``PointDistances`` (a
@@ -66,8 +65,7 @@ copies those inside it; a rank between brackets is bracketed again in its
 gap, with a wider margin.  Only the
 order statistics ``np.median`` or ``np.quantile`` read are square-rooted;
 ``sqrt`` is monotone and correctly rounded, so the result is numpy's on
-the square-rooted distances bit for bit.  Only the derivative matrices,
-behind the scalar oracle ``stein_kernel``, form (m, n, d) tensors.
+the square-rooted distances bit for bit.
 """
 
 from __future__ import annotations
@@ -174,16 +172,6 @@ def _norm_const(spec: KernelSpec, dim: int) -> float:
 def kernel_bound(spec: KernelSpec, dim: int) -> float:
     """K = k(x, x), the supremum of the kernel."""
     return _norm_const(spec, dim)
-
-
-def _difference_form(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, float]:
-    """(U, lam, c): scaled differences U[i, j] = (A_i - B_j) / lam, shape (m, n, d),
-    the bandwidths and the normalisation constant."""
-    A, B = _as_points(A), _as_points(B)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    lam = spec.bandwidth_vector(A.shape[1])
-    return (A[:, None, :] - B[None, :, :]) / lam, lam, _norm_const(spec, A.shape[1])
 
 
 # Squared distances below this share of |a|^2 + |b|^2 are recomputed from
@@ -417,15 +405,6 @@ def _distances(points) -> PointDistances:
     return points if isinstance(points, PointDistances) else PointDistances(points)
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """k(x, y) for two single points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(gram_matrix(spec, x[None, :], y[None, :])[0, 0])
-
-
 def _require_stein(spec: KernelSpec) -> None:
     """Raise ValueError unless the family has a Stein kernel (see the module docstring)."""
     if spec.family not in STEIN_FAMILIES:
@@ -433,39 +412,6 @@ def _require_stein(spec: KernelSpec) -> None:
             f"the {spec.family} kernel is not differentiable, so it has no Stein kernel; "
             f"use one of {', '.join(STEIN_FAMILIES)}"
         )
-
-
-def grad1_matrix(spec: KernelSpec, A, B) -> np.ndarray:
-    """Gradients of k with respect to the first argument, shape (m, n, d)."""
-    _require_stein(spec)
-    U, lam, c = _difference_form(spec, A, B)
-    if spec.family == "gaussian":
-        K = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
-        return -(U / lam) * (c * K)[:, :, None]
-    beta = spec.imq_exponent
-    r2 = np.einsum("mnd,mnd->mn", U, U)
-    return -2.0 * beta * (U / lam) * (c * (1.0 + r2) ** (-beta - 1.0))[:, :, None]
-
-
-def grad2_matrix(spec: KernelSpec, A, B) -> np.ndarray:
-    """Gradients with respect to the second argument; -grad1 for these even kernels."""
-    return -grad1_matrix(spec, A, B)
-
-
-def cross_derivative_matrix(spec: KernelSpec, A, B) -> np.ndarray:
-    """sum_i d^2 k / dx_i dy_i, shape (m, n)."""
-    _require_stein(spec)
-    U, lam, c = _difference_form(spec, A, B)
-    inv2 = 1.0 / lam**2
-    if spec.family == "gaussian":
-        K = np.exp(-0.5 * np.einsum("mnd,mnd->mn", U, U))
-        return c * K * ((1.0 - U**2) * inv2).sum(axis=-1)
-    beta = spec.imq_exponent
-    r2 = np.einsum("mnd,mnd->mn", U, U)
-    base = 1.0 + r2
-    term1 = 2.0 * beta * inv2.sum() * base ** (-beta - 1.0)
-    term2 = 4.0 * beta * (beta + 1.0) * (U**2 * inv2).sum(axis=-1) * base ** (-beta - 2.0)
-    return c * (term1 - term2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -510,37 +456,35 @@ def student_t_score(df: float, dim: int) -> ScoreField:
     return ScoreField(evaluate=_eval, provenance="closed_form", bound=(df + dim) / (2.0 * math.sqrt(df)))
 
 
-def stein_kernel(spec: KernelSpec, score: ScoreField, x, y) -> float:
-    """Stein kernel value h_P(x, y) for a score field s = grad log p.
+def stein_blocks(spec: KernelSpec, points, scores) -> Callable[[slice, slice], np.ndarray]:
+    """``block(rows, cols)``: H[rows, cols] of the Gaussian or IMQ Stein
+    matrix in closed form before its averaging with the transpose, as a new
+    array.
 
-    h_P(x,y) = k(x,y) s(x)'s(y) + grad1 k(x,y)'s(y) + grad2 k(x,y)'s(x)
-               + sum_i d^2 k / dx_i dy_i.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    y = np.atleast_1d(np.asarray(y, dtype=float))[None, :]
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    sx, sy = score(x)[0], score(y)[0]
-    k = gram_matrix(spec, x, y)[0, 0]
-    g1 = grad1_matrix(spec, x, y)[0, 0]
-    c = cross_derivative_matrix(spec, x, y)[0, 0]
-    return float(k * (sx @ sy) + g1 @ sy + (-g1) @ sx + c)
-
-
-def _smooth_stein_matrix(spec: KernelSpec, dists: PointDistances, S: np.ndarray) -> np.ndarray:
-    """Gaussian or IMQ Stein matrix in closed form, up to symmetrisation.
-
-    With A = (X - midrange) / lam, T = S / lam, p_i = A_i . T_i, r^2 the
-    squared scaled distance, w = sum_d ((x_d - y_d) / lam_d^2)^2 and
+    ``points`` is an (n, d) array or the sample's ``PointDistances``, whose
+    cached distances are then read.  With A = (X - midrange) / lam,
+    T = S / lam, p_i = A_i . T_i, r^2 the squared scaled distance,
+    w = sum_d ((x_d - y_d) / lam_d^2)^2 and
     E = p_i + p_j - 2 A_i . T_j + sum_d 1 / lam_d^2, entry (i, j) is
     c k (s_i . s_j + E - w) for the Gaussian and
     c k (s_i . s_j + 2 beta (E - 2 (beta + 1) w / (1 + r^2)) / (1 + r^2))
     for the IMQ kernel.  Averaging with the transpose turns -2 A_i . T_j
     into -(A_i . T_j + A_j . T_i), which with p_i + p_j makes the two
-    gradient terms (A_i - A_j) . (T_i - T_j).
+    gradient terms (A_i - A_j) . (T_i - T_j); before it, H is the Stein
+    kernel only in its quadratic forms and its diagonal.  A block is made
+    in sub-blocks of rows, counted from ``rows.start``, each of whose
+    temporaries holds at most ``_ROW_BLOCK_ELEMENTS`` entries.  An anisotropic
+    bandwidth has no cache: its two (n, n) scaled distance matrices are
+    made here and held by the builder.  Raises ValueError for a family
+    outside ``STEIN_FAMILIES``.
     """
+    _require_stein(spec)
+    dists = _distances(points)
+    S = np.asarray(scores, dtype=float)
     X = dists.points
-    dim = X.shape[1]
+    if S.shape != X.shape:
+        raise ValueError(f"scores shape {S.shape} does not match points {X.shape}")
+    n, dim = X.shape
     lam = spec.bandwidth_vector(dim)
     scale = _isotropic(lam)
     if scale is not None:
@@ -552,51 +496,59 @@ def _smooth_stein_matrix(spec: KernelSpec, dists: PointDistances, S: np.ndarray)
     T = S / lam
     p = np.einsum("ij,ij->i", A, T)
     minus_2t, inv2, c = -2.0 * T.T, (1.0 / lam**2).sum(), _norm_const(spec, dim)
-    H = np.empty_like(r2)
-    # a block of rows at a time: the output is the only other (n, n) array
-    rows = max(1, _ROW_BLOCK_ELEMENTS // X.shape[0])
-    for lo in range(0, X.shape[0], rows):
-        blk = slice(lo, lo + rows)
-        R = r2[blk] / s2
-        W = R / s2 if w is None else w[blk]
-        E = A[blk] @ minus_2t
-        E += p[blk, None]
-        E += p[None, :]
-        E += inv2
-        if spec.family == "gaussian":
-            E -= W
-            R *= -0.5
-            np.exp(R, out=R)
-        else:
-            beta = spec.imq_exponent
-            R += 1.0
-            W = W / R
-            W *= 2.0 * (beta + 1.0)
-            E -= W
-            E /= R
-            E *= 2.0 * beta
-            np.power(R, -beta, out=R)
-        E += S[blk] @ S.T
-        E *= R
-        E *= c
-        H[blk] = E
-    return H
+    step = max(1, _ROW_BLOCK_ELEMENTS // n)
+
+    def block(rows: slice, cols: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(n)
+        out = None if stop - start <= step else np.empty((stop - start, len(range(*cols.indices(n)))))
+        for lo in range(start, stop, step):
+            blk = slice(lo, min(lo + step, stop))
+            R = r2[blk, cols] / s2
+            W = R / s2 if w is None else w[blk, cols]
+            E = A[blk] @ minus_2t[:, cols]
+            E += p[blk, None]
+            E += p[None, cols]
+            E += inv2
+            if spec.family == "gaussian":
+                E -= W
+                R *= -0.5
+                np.exp(R, out=R)
+            else:
+                beta = spec.imq_exponent
+                R += 1.0
+                W = W / R
+                W *= 2.0 * (beta + 1.0)
+                E -= W
+                E /= R
+                E *= 2.0 * beta
+                np.power(R, -beta, out=R)
+            E += S[blk] @ S[cols].T
+            E *= R
+            E *= c
+            if out is None:
+                return E  # one sub-block: no copy
+            out[lo - start : blk.stop - start] = E
+        return out
+
+    return block
 
 
+# The wild engine streams stein_blocks; this held matrix serves
+# core_matrix_ksd, and keeps its name because perfbench/spans.py TARGETS
+# wraps kernels.stein_matrix.
 def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     """Matrix of Stein kernel values over one sample, exactly symmetric.
 
     ``points`` is an (n, d) array or the sample's ``PointDistances``, whose
-    cached distances are then reused.  Raises ValueError for a family
-    outside ``STEIN_FAMILIES``.
+    cached distances are then reused.  The row sub-blocks of
+    ``stein_blocks`` are stacked and averaged with the transpose.  Raises
+    ValueError for a family outside ``STEIN_FAMILIES``.
     """
-    _require_stein(spec)
     dists = _distances(points)
-    S = np.asarray(scores, dtype=float)
-    if S.shape != dists.points.shape:
-        raise ValueError(f"scores shape {S.shape} does not match points {dists.points.shape}")
+    block = stein_blocks(spec, dists, scores)
+    whole = slice(0, dists.points.shape[0])
     # the builder's row temporaries are freed before the tiles are averaged
-    H = _smooth_stein_matrix(spec, dists, S)
+    H = block(whole, whole)
     _symmetrise(H)
     return H
 

@@ -19,9 +19,11 @@ multiplies the two half-sample MMD cores; for that (N/2) x (N/2) core,
 flipping the sign of block i is exactly equivalent to swapping pairs i
 and i + N/2, which is what makes the wild bootstrap a permutation test.
 The doubly-centered core does not satisfy that identity.  The wild engine
-reads the MMD and HSIC wild cores as ``CoreRows``, a block of rows at a
-time from the distance caches; ``core_matrix_mmd`` and
-``core_matrix_hsic_wild`` stack those blocks.
+reads the MMD and HSIC wild cores and the KSD Stein matrix as
+``CoreRows``, a block of rows at a time from the distance caches;
+``core_matrix_mmd`` and ``core_matrix_hsic_wild`` stack those blocks, and
+``core_matrix_ksd`` stacks the Stein builder's and averages them with the
+transpose.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ FRAMEWORKS = ("mmd", "hsic", "ksd")
 # of a pair-split core is made, and of one row block of a gram being
 # centred (512 KiB): at N/2 = 512 a core block has 128 rows.
 _CORE_BLOCK_ELEMENTS = 1 << 16
+# A streamed Stein matrix is read an eighth of its rows at a time, in blocks
+# of at least _STEIN_BLOCK_MIN_ELEMENTS entries (the whole matrix up to
+# n = 64) and at most _STEIN_BLOCK_MAX_ROWS rows.  With 1 BLAS thread, 256
+# rows at n = 4096 were no faster and peaked 4 MiB higher.
+_STEIN_BLOCK_MIN_ELEMENTS = 1 << 12
+_STEIN_BLOCK_MAX_ROWS = 128
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -218,8 +226,10 @@ class CoreMatrix:
 
 class CoreRows(NamedTuple):
     """A core matrix never held whole: ``block(rows, cols)`` makes H[rows,
-    cols] as a new array, the matrix's own values bit for bit whatever the
-    block, and the wild engine reads ``height`` rows at a time."""
+    cols] as a new array, and the wild engine reads ``height`` rows at a
+    time.  The MMD and HSIC cores are exactly symmetric, their values bit
+    for bit whatever the block; the KSD's is the Stein matrix before its
+    averaging with the transpose, which the engine's statistics equal."""
 
     n: int
     height: int
@@ -425,11 +435,24 @@ def hsic_wild_core_rows(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> Cor
     return CoreRows(half, max(1, _CORE_BLOCK_ELEMENTS // half), block)
 
 
-def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:
-    """Stein kernel core H[i, j] = h_P(X_i, X_j) from score values."""
+def _scores(data: ModelSampleData) -> np.ndarray:
     if data.scores is None:
         raise ValueError("KSD core requires score values at every sample point")
-    h = kernels.stein_matrix(spec, data.distances, data.scores)
+    return data.scores
+
+
+def ksd_core_rows(spec: KernelSpec, data: ModelSampleData) -> CoreRows:
+    """``core_matrix_ksd``'s Stein matrix before its averaging with the
+    transpose (see ``kernels.stein_blocks``), streamed from the sample's
+    distances."""
+    block = kernels.stein_blocks(spec, data.distances, _scores(data))
+    n = data.n
+    return CoreRows(n, min(n, _STEIN_BLOCK_MAX_ROWS, max(n // 8, _STEIN_BLOCK_MIN_ELEMENTS // n)), block)
+
+
+def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:
+    """Stein kernel core H[i, j] = h_P(X_i, X_j) from score values."""
+    h = kernels.stein_matrix(spec, data.distances, _scores(data))
     if data.score_bound is not None:
         s_bound = float(data.score_bound)
     else:

@@ -30,11 +30,8 @@ from kerntest.engines import collection_replicates
 from kerntest.harness.config import ExperimentConfig
 from kerntest.harness.experiments import run_experiment
 from kerntest.kernels import (
-    eval_kernel,
     gaussian_kernel,
     gram_matrix,
-    grad1_matrix,
-    cross_derivative_matrix,
     imq_kernel,
     laplace_kernel,
     standard_gaussian_score,
@@ -61,6 +58,7 @@ from kerntest.statistics import (
     v_statistic,
 )
 from kerntest.testing import two_sample_test
+from oracles import cross_derivative_matrix, eval_kernel, grad1_matrix
 
 GAUSS = gaussian_kernel(1.0)
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +393,51 @@ def test_results_ignore_later_changes_to_the_inputs():
         dists = data.x_distances if framework == "hsic" else data.distances
         with pytest.raises(ValueError, match="read-only"):
             dists.points[0, 0] = 1.0
+
+
+# A fixed execute matrix: MMD, HSIC and KSD, permutation and wild, single,
+# aggregated and pooled, at sizes where BLAS products split across threads.
+_BLAS_MATRIX = """
+import json
+from kerntest.harness import run
+from kerntest.harness.generators import builtin_generator
+
+mmd = ("gaussian_mean_shift", {"m": 300, "n": 300, "dim": 3, "shift": 0.1})
+hsic = ("correlated_gaussian_pairs", {"n": 300, "dim": 2, "rho": 0.1})
+ksd = ("gaussian_model_sample", {"n": 300, "dim": 3, "shift": 0.1})
+cases = [
+    ({"framework": "mmd", "method": "permutation"}, mmd),
+    ({"framework": "mmd", "method": "wild"}, mmd),
+    ({"framework": "mmd", "method": "permutation", "bandwidth": "grid:5", "adapt": "agg"}, mmd),
+    ({"framework": "hsic", "method": "permutation"}, hsic),
+    ({"framework": "hsic", "method": "wild", "bandwidth": "grid:3", "adapt": "pool:mean"}, hsic),
+    ({"framework": "ksd", "method": "wild", "kernel_family": "imq"}, ksd),
+    ({"framework": "ksd", "method": "wild", "design_size": 5000}, ksd),
+]
+out = []
+for flags, (name, params) in cases:
+    for seed in range(2):
+        result = run.execute(run.TestSetup(replicates=199, seed=seed, **flags), builtin_generator(name, params, seed))
+        out.append(result.to_json_dict())
+print(json.dumps(out))
+"""
+
+
+def test_p_values_and_decisions_do_not_depend_on_the_blas_thread_count():
+    # the README's determinism contract: at 1 and at 2 OpenBLAS threads every
+    # p-value and decision is equal; statistics may move in the last digits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", _BLAS_MATRIX], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        runs.append(json.loads(child.stdout))
+    assert len(runs[0]) == len(runs[1]) == 14
+    for one, two in zip(*runs):
+        assert (one["p_value"], one["reject"]) == (two["p_value"], two["reject"])
+        assert one["statistic"] == pytest.approx(two["statistic"], rel=1e-9)
 
 
 def test_cli_seed_and_aggregation_level_checked_before_data(tmp_path, capsys):

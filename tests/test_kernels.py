@@ -10,25 +10,21 @@ from kerntest.kernels import (
     KernelSpec,
     PointDistances,
     bandwidth_grid,
-    cross_derivative_matrix,
     derivative_bounds,
-    eval_kernel,
     gaussian_kernel,
-    grad1_matrix,
-    grad2_matrix,
     gram_matrix,
     imq_kernel,
     kernel_bound,
     laplace_kernel,
     median_heuristic,
     standard_gaussian_score,
-    stein_kernel,
     stein_kernel_bound,
     stein_matrix,
     student_t_score,
 )
 from kerntest.statistics import ModelSampleData, core_matrix_ksd
 from kerntest.testing import goodness_of_fit_test
+from oracles import cross_derivative_matrix, eval_kernel, grad1_matrix, grad2_matrix, stein_kernel
 
 ALL_SPECS = [
     gaussian_kernel(0.8),

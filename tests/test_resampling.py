@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from kerntest import constrained, engines, statistics, testing
+from kerntest import kernels as kernels_module
 from kerntest.engines import collection_replicates
 from kerntest.harness import run as harness_run
 from kerntest.harness.generators import builtin_generator
-from kerntest.kernels import gaussian_kernel, imq_kernel, laplace_kernel
+from kerntest.kernels import gaussian_kernel, imq_kernel, laplace_kernel, standard_gaussian_score
 from kerntest.resampling import (
     TAG_CELL,
     TAG_DATA,
@@ -28,12 +29,15 @@ from kerntest.resampling import (
 from kerntest.statistics import (
     CoreMatrix,
     DesignSet,
+    ModelSampleData,
     PairedData,
     TwoSampleData,
     core_matrix_hsic,
     core_matrix_hsic_wild,
+    core_matrix_ksd,
     core_matrix_mmd,
     incomplete_statistic,
+    ksd_core_rows,
     u_statistic,
 )
 from kerntest.testing import independence_test, two_sample_test
@@ -818,6 +822,83 @@ def test_wild_engine_holds_no_core_at_n_1024(framework, traced_peak):
     # and O(rows + m) vectors: the (m, m) core, 2 MiB, breaks this
     allowed = rows * m * 8 + 3 * statistics._CORE_BLOCK_ELEMENTS * 8 + rows * height * 8
     assert peak <= allowed + 512 * count + 64 * (rows + m) + 2**16
+
+
+def test_ksd_wild_engine_holds_no_stein_matrix_at_n_1024(traced_peak):
+    count, n, dim = 199, 1024, 50
+    rng = np.random.default_rng(10)
+    data = ModelSampleData.from_score_field(rng.normal(size=(n, dim)), standard_gaussian_score())
+    data.distances.squared  # cached before tracing: it is the dataset's, not the engine's
+    rep = ReplicateSpec(count=count, method="wild_bootstrap", seed=4)
+    peak = traced_peak(lambda: collection_replicates(data, [imq_kernel(7.0)], rep))
+    rows, height = count + 1, ksd_core_rows(imq_kernel(7.0), data).height
+    step = kernels_module._ROW_BLOCK_ELEMENTS // n
+    assert height < n
+    # the signs, a block of Stein rows and its (rows, height) product with the
+    # signs, the builder's (n, d) factors A, T and -2 T' and four (step, n)
+    # temporaries of one sub-block, the B generator states and O(rows + n)
+    # vectors: the (n, n) Stein matrix, 8 MiB, breaks this
+    allowed = rows * n * 8 + height * n * 8 + rows * height * 8 + 3 * n * dim * 8 + 4 * step * n * 8
+    assert peak <= allowed + 512 * count + 64 * (rows + n) + 2**16
+
+
+def _ksd_held_and_streamed(data, specs, rep, design, monkeypatch):
+    """The wild replicates of the held, averaged Stein matrices and of the
+    streamed, unaveraged ones."""
+    streamed = collection_replicates(data, specs, rep, design=design)
+    with monkeypatch.context() as patch:
+        patch.setattr(engines, "ksd_core_rows", core_matrix_ksd)
+        held = collection_replicates(data, specs, rep, design=design)
+    return held, streamed
+
+
+def _ksd_designs(n):
+    full = DesignSet.full_offdiag(n)
+    shuffled = np.random.default_rng(15).permutation(full.size)[:3000]
+    return {
+        "none": None,
+        "blocks": DesignSet.block(n, 4),
+        "design_size": DesignSet.incomplete(n, 5000),
+        "shuffled": DesignSet(full.idx_i[shuffled], full.idx_j[shuffled]),
+    }
+
+
+@pytest.mark.parametrize("design", ["none", "blocks", "design_size", "shuffled"])
+def test_streamed_ksd_wild_agrees_with_the_held_stein_matrix(design, monkeypatch):
+    # n = 300: blocks of 37 rows; the incomplete design's pairs (i, i + r)
+    # read only H[i, j], i < j, which is the Stein kernel only after averaging
+    n = 300
+    rng = np.random.default_rng(16)
+    specs = [imq_kernel(2.0), gaussian_kernel(1.5)]
+    for shift in (0.0, 0.3):
+        data = ModelSampleData.from_score_field(rng.normal(size=(n, 3)) + shift, standard_gaussian_score())
+        assert ksd_core_rows(specs[0], data).height < n // 4
+        for seed in range(3):
+            rep = ReplicateSpec(count=199, method="wild_bootstrap", seed=seed)
+            held, streamed = _ksd_held_and_streamed(data, specs, rep, _ksd_designs(n)[design], monkeypatch)
+            for h, s in zip(held, streamed):
+                a, b = decide(h[0], h[1:], 0.05), decide(s[0], s[1:], 0.05)
+                assert (a.p_value, a.reject) == (b.p_value, b.reject)
+                np.testing.assert_allclose(s[0], h[0], rtol=1e-12)
+                np.testing.assert_allclose(b.threshold, a.threshold, rtol=1e-12)
+                np.testing.assert_allclose(s, h, rtol=0, atol=1e-12 * np.abs(h).max())
+
+
+def test_pair_gather_averages_a_core_with_its_transpose():
+    # an unsymmetric core read through the pair gather gives the statistics of
+    # its symmetric part, whatever the row blocks
+    rng = np.random.default_rng(18)
+    n = 23
+    h = rng.uniform(-1, 1, size=(n, n))
+    sym = CoreMatrix(h=0.5 * (h + h.T), kernel_bound=1.0, framework="ksd")
+    design = DesignSet(*np.nonzero(~np.eye(n, dtype=bool)))
+    shuffled = np.random.default_rng(19).permutation(design.size)[:200]
+    rep = ReplicateSpec(count=49, method="wild_bootstrap", seed=6)
+    for pairs in (design, DesignSet(design.idx_i[shuffled], design.idx_j[shuffled])):
+        expected = engines.wild_replicates([sym], pairs, rep)
+        for height in (1, 5, n):
+            rows = statistics.CoreRows(n, height, lambda r, c: h[r, c].copy())
+            np.testing.assert_allclose(engines.wild_replicates([rows], pairs, rep), expected, rtol=1e-14, atol=1e-15)
 
 
 def _whole_core_wild(hs, design, rep):

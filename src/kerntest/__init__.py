@@ -39,9 +39,7 @@ from .resampling import (
     ReplicateSpec,
     TestResult,
     min_replicates,
-    permuted_statistic,
     test_decision,
-    wild_bootstrap_statistic,
 )
 from .statistics import (
     CoreMatrix,
@@ -55,7 +53,6 @@ from .statistics import (
     core_matrix_ksd,
     core_matrix_mmd,
     incomplete_statistic,
-    one_sample_mmd,
     u_statistic,
     v_statistic,
 )
@@ -103,8 +100,6 @@ __all__ = [
     "laplace_kernel",
     "median_heuristic",
     "min_replicates",
-    "one_sample_mmd",
-    "permuted_statistic",
     "pool",
     "pooled_test",
     "robust_test",
@@ -114,5 +109,4 @@ __all__ = [
     "two_sample_test",
     "u_statistic",
     "v_statistic",
-    "wild_bootstrap_statistic",
 ]

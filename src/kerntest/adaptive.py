@@ -114,12 +114,20 @@ def _pool_columns(values: np.ndarray, config: PoolConfig, weights: np.ndarray) -
     return _fuse_columns(values, config.nu, weights)
 
 
+def _per_kernel(values, count: int, name: str) -> np.ndarray:
+    """``values`` as a float vector of one entry per kernel; no broadcasting."""
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (count,):
+        raise ValueError(f"{name} must give one value per kernel: got {vec.size} for {count} kernels")
+    return vec
+
+
 def pool(values, config: PoolConfig, weights=None) -> float:
     """Pool a vector of per-kernel values into one number.
 
     Normalisation (when configured) divides by the per-kernel sigma
     first.  Fuse is evaluated in shifted, overflow-safe form and defaults
-    to uniform weights.
+    to uniform weights; ``sigma`` and ``weights`` give one per kernel.
     """
     vals = np.asarray(values, dtype=float).reshape(-1)
     if vals.size == 0:
@@ -127,8 +135,8 @@ def pool(values, config: PoolConfig, weights=None) -> float:
     if config.normalized:
         if config.sigma is None:
             raise ValueError("normalised pooling requires sigma values")
-        vals = vals / np.asarray(config.sigma, dtype=float)
-    w = np.full(vals.size, 1.0 / vals.size) if weights is None else np.asarray(weights, dtype=float)
+        vals = vals / _per_kernel(config.sigma, vals.size, "sigma")
+    w = np.full(vals.size, 1.0 / vals.size) if weights is None else _per_kernel(weights, vals.size, "weights")
     return float(_pool_columns(vals[:, None], config, w)[0])
 
 
@@ -154,14 +162,14 @@ def pooled_test(
     tied; with a single kernel the result is bit-identical to the
     single-kernel test.  Normalisation scales default to the empirical
     standard deviation of each kernel's replicate statistics (zero scales
-    fall back to one).
+    fall back to one); given scales must number one per kernel.
     """
     framework = framework_of(data)
     design = resolve_design(data, rep.method, blocks, design_size)
     values = collection_replicates(data, list(collection.kernels), rep, statistic=statistic, design=design)
     config = _with_runtime_defaults(config, data, collection, values[:, 1:])
     if config.normalized:
-        values = values / np.asarray(config.sigma, dtype=float)[:, None]
+        values = values / _per_kernel(config.sigma, collection.size, "sigma")[:, None]
     pooled = _pool_columns(values, config, collection.weight_vector())
     return test_decision(
         pooled[0],

@@ -80,7 +80,6 @@ class Sensitivity:
     """Global sensitivity of the test statistic under one-entry replacement."""
 
     value: float
-    derivation: str = "closed_form"
 
     def __post_init__(self):
         if not self.value > 0:

@@ -424,7 +424,6 @@ class ScoreField:
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    provenance: str = "closed_form"
     bound: float | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -437,7 +436,7 @@ class ScoreField:
 
 def standard_gaussian_score() -> ScoreField:
     """Score of N(0, I): s(x) = -x.  The norm is unbounded on R^d."""
-    return ScoreField(evaluate=lambda x: -x, provenance="closed_form", bound=None)
+    return ScoreField(evaluate=lambda x: -x, bound=None)
 
 
 def student_t_score(df: float, dim: int) -> ScoreField:
@@ -453,7 +452,7 @@ def student_t_score(df: float, dim: int) -> ScoreField:
     def _eval(x: np.ndarray) -> np.ndarray:
         return -(df + dim) * x / (df + (x**2).sum(axis=1, keepdims=True))
 
-    return ScoreField(evaluate=_eval, provenance="closed_form", bound=(df + dim) / (2.0 * math.sqrt(df)))
+    return ScoreField(evaluate=_eval, bound=(df + dim) / (2.0 * math.sqrt(df)))
 
 
 def stein_blocks(spec: KernelSpec, points, scores) -> Callable[[slice, slice], np.ndarray]:

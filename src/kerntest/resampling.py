@@ -35,8 +35,6 @@ import math
 
 import numpy as np
 
-from .statistics import CoreMatrix, DesignSet, HsicCoreMatrix, incomplete_statistic
-
 # stream tags for SeedSequence-derived generators
 TAG_REPLICATE = 1
 TAG_NOISE = 2
@@ -194,63 +192,6 @@ def sample_paired_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 pairs to permute")
     return rng.permutation(n)
-
-
-def wild_bootstrap_statistic(core: CoreMatrix, design: DesignSet, signs) -> float:
-    """(1/|D|) sum over (i,j) in D of eps_i eps_j H[i, j]."""
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (core.n,):
-        raise ValueError(f"sign vector of length {signs.size} does not match core size {core.n}")
-    design.validate_for(core)
-    vals = core.h[design.idx_i, design.idx_j]
-    e = signs[design.idx_i] * signs[design.idx_j]
-    return float((vals * e).sum() / design.size)
-
-
-def pair_swap_signs(n: int, swapped) -> np.ndarray:
-    """Sign vector with -1 exactly at the swapped pair indices."""
-    signs = np.ones(n)
-    signs[np.asarray(swapped, dtype=np.intp)] = -1.0
-    return signs
-
-
-def swap_permuted_core(core: CoreMatrix, signs) -> CoreMatrix:
-    """Core matrix after swapping the pairs with sign -1.
-
-    For the MMD core (and the half-split HSIC core) swapping pair i
-    negates row/column i exactly, so the permuted core is the
-    sign-conjugated matrix; the conjugation is exact in floating point.
-    """
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (core.n,):
-        raise ValueError("sign vector length does not match core size")
-    if core.framework == "ksd":
-        raise ValueError("goodness-of-fit data admits no null-simulating permutation")
-    if isinstance(core, HsicCoreMatrix):
-        raise ValueError("pair swaps apply to the half-split HSIC core, not the doubly-centered one")
-    flipped = (signs[:, None] * signs[None, :]) * core.h
-    return dataclasses.replace(core, h=flipped)
-
-
-def permuted_statistic(core: CoreMatrix, permutation, design: DesignSet | None = None) -> float:
-    """Design-mean statistic of the core after a null-respecting permutation.
-
-    * MMD core / half-split HSIC core: ``permutation`` is the array of
-      pair indices to swap (possibly empty).
-    * Doubly-centered HSIC core: ``permutation`` is a permutation of
-      range(N) applied to the Y component; the second factor is
-      conjugated by it.
-    """
-    design = design if design is not None else DesignSet.full_offdiag(core.n)
-    if isinstance(core, HsicCoreMatrix):
-        perm = np.asarray(permutation, dtype=np.intp)
-        if sorted(perm.tolist()) != list(range(core.n)):
-            raise ValueError("not a permutation of range(N)")
-        h = core.k_centered * core.l_centered[np.ix_(perm, perm)]
-        permuted = CoreMatrix(h=h, kernel_bound=core.kernel_bound, framework="hsic")
-        return incomplete_statistic(permuted, design)
-    signs = pair_swap_signs(core.n, permutation)
-    return incomplete_statistic(swap_permuted_core(core, signs), design)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,7 +23,9 @@ reads the MMD and HSIC wild cores and the KSD Stein matrix as
 ``CoreRows``, a block of rows at a time from the distance caches;
 ``core_matrix_mmd`` and ``core_matrix_hsic_wild`` stack those blocks, and
 ``core_matrix_ksd`` stacks the Stein builder's and averages them with the
-transpose.
+transpose.  The reference statistics that check the engines against
+these identities (sign flips as pair swaps, Y-permutations of the centred
+factors) are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -159,24 +161,21 @@ class PairedData:
 
 @dataclasses.dataclass(frozen=True)
 class ModelSampleData:
-    """One sample plus score values of the model at the sample points.
+    """One sample plus the model's score values at the sample points.
 
-    ``scores`` may be omitted for operations that do not need them (the
-    plug-in one-sample MMD); the KSD core requires them.  Both are held as
-    read-only copies; the distances of the sample are cached.
+    Both are held as read-only copies, one score vector per point; the
+    distances of the sample are cached.
     """
 
     x: np.ndarray
-    scores: np.ndarray | None = None
+    scores: np.ndarray
     score_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", _owned_matrix(self.x, "x"))
-        if self.scores is not None:
-            s = _owned_matrix(self.scores, "scores")
-            if s.shape != self.x.shape:
-                raise ValueError("scores must have the same shape as the sample")
-            object.__setattr__(self, "scores", s)
+        object.__setattr__(self, "scores", _owned_matrix(self.scores, "scores"))
+        if self.scores.shape != self.x.shape:
+            raise ValueError("scores must have the same shape as the sample")
         if self.x.shape[0] < 2:
             raise ValueError("need at least 2 samples")
 
@@ -234,14 +233,6 @@ class CoreRows(NamedTuple):
     n: int
     height: int
     block: Callable[[slice, slice], np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
-class HsicCoreMatrix(CoreMatrix):
-    """Doubly-centered HSIC core, keeping its two factors for permutation use."""
-
-    k_centered: np.ndarray = dataclasses.field(default=None, repr=False)
-    l_centered: np.ndarray = dataclasses.field(default=None, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,15 +393,14 @@ def hsic_centered_grams(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> tup
     return _double_center(data.x_distances.gram(kx)), _double_center(data.y_distances.gram(ky))
 
 
-def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> HsicCoreMatrix:
+def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreMatrix:
     """Doubly-centered product core H = (C K C) * (C L C), entrywise.
 
     Used with permutations of the Y component; Y-permutations act on the
     second factor by row/column conjugation.
     """
     kc, lc = hsic_centered_grams(kx, ky, data)
-    bound = core_bound((kx, ky), data)
-    return HsicCoreMatrix(h=kc * lc, kernel_bound=bound, framework="hsic", k_centered=kc, l_centered=lc)
+    return CoreMatrix(h=kc * lc, kernel_bound=core_bound((kx, ky), data), framework="hsic")
 
 
 def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreMatrix:
@@ -435,24 +425,18 @@ def hsic_wild_core_rows(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> Cor
     return CoreRows(half, max(1, _CORE_BLOCK_ELEMENTS // half), block)
 
 
-def _scores(data: ModelSampleData) -> np.ndarray:
-    if data.scores is None:
-        raise ValueError("KSD core requires score values at every sample point")
-    return data.scores
-
-
 def ksd_core_rows(spec: KernelSpec, data: ModelSampleData) -> CoreRows:
     """``core_matrix_ksd``'s Stein matrix before its averaging with the
     transpose (see ``kernels.stein_blocks``), streamed from the sample's
     distances."""
-    block = kernels.stein_blocks(spec, data.distances, _scores(data))
+    block = kernels.stein_blocks(spec, data.distances, data.scores)
     n = data.n
     return CoreRows(n, min(n, _STEIN_BLOCK_MAX_ROWS, max(n // 8, _STEIN_BLOCK_MIN_ELEMENTS // n)), block)
 
 
 def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:
     """Stein kernel core H[i, j] = h_P(X_i, X_j) from score values."""
-    h = kernels.stein_matrix(spec, data.distances, _scores(data))
+    h = kernels.stein_matrix(spec, data.distances, data.scores)
     if data.score_bound is not None:
         s_bound = float(data.score_bound)
     else:
@@ -484,45 +468,3 @@ def u_statistic(core: CoreMatrix) -> float:
 def block_statistic(core: CoreMatrix, blocks: int) -> float:
     """Mean of the complete U-statistics over `blocks` consecutive blocks."""
     return incomplete_statistic(core, DesignSet.block(core.n, blocks))
-
-
-def two_sample_v_statistic(gram_xx, gram_yy, gram_xy) -> float:
-    """Merged-form MMD V-statistic, valid for unequal sample sizes.
-
-    mean(Kxx) + mean(Kyy) - 2 mean(Kxy); nonnegative up to rounding.
-    """
-    m, n = gram_xy.shape
-    return float(gram_xx.sum() / (m * m) + gram_yy.sum() / (n * n) - 2.0 * gram_xy.sum() / (m * n))
-
-
-def one_sample_mmd(spec: KernelSpec, data, mean_embedding, double_expectation: float) -> float:
-    """Plug-in squared MMD between the sample and a model with known moments.
-
-    ``data`` is a ModelSampleData or a plain array of points (a single
-    point is allowed).  ``mean_embedding`` maps points to E_P[k(x, Y)];
-    ``double_expectation`` is E_{P,P}[k(Y, Y')].  Value:
-
-        mean_ij k(X_i, X_j) - 2 mean_i E_P[k(X_i, Y)] + E_{P,P}[k(Y, Y')]
-    """
-    x = data.x if isinstance(data, ModelSampleData) else _as_matrix(data, "data")
-    n = x.shape[0]
-    g = kernels.gram_matrix(spec, x, x)
-    emb = np.asarray(mean_embedding(x), dtype=float).reshape(-1)
-    if emb.shape[0] != n:
-        raise ValueError("mean embedding must return one value per sample point")
-    return float(g.sum() / (n * n) - 2.0 * emb.sum() / n + double_expectation)
-
-
-def empirical_model_moments(spec: KernelSpec, model_points) -> tuple:
-    """Moments of the empirical distribution on `model_points`.
-
-    Feeding these into one_sample_mmd reproduces the usual two-sample
-    MMD V-statistic against that empirical sample.
-    """
-    pts = _as_matrix(model_points, "model_points")
-
-    def _embed(x):
-        return kernels.gram_matrix(spec, _as_matrix(x, "x"), pts).mean(axis=1)
-
-    g = kernels.gram_matrix(spec, pts, pts)
-    return _embed, float(g.sum() / (pts.shape[0] ** 2))

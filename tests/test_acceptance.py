@@ -36,11 +36,7 @@ from kerntest.kernels import (
     laplace_kernel,
     standard_gaussian_score,
 )
-from kerntest.resampling import (
-    ReplicateSpec,
-    permuted_statistic,
-    wild_bootstrap_statistic,
-)
+from kerntest.resampling import ReplicateSpec
 from kerntest.statistics import (
     CoreMatrix,
     DesignSet,
@@ -53,12 +49,18 @@ from kerntest.statistics import (
     core_matrix_ksd,
     core_matrix_mmd,
     incomplete_statistic,
-    two_sample_v_statistic,
     u_statistic,
     v_statistic,
 )
 from kerntest.testing import two_sample_test
-from oracles import cross_derivative_matrix, eval_kernel, grad1_matrix
+from oracles import (
+    cross_derivative_matrix,
+    eval_kernel,
+    grad1_matrix,
+    permuted_statistic,
+    two_sample_v_statistic,
+    wild_bootstrap_statistic,
+)
 
 GAUSS = gaussian_kernel(1.0)
 

@@ -123,6 +123,26 @@ def test_pool_normalized_divides_by_sigma():
     assert pool([2.0, 2.0], config) == 1.0
 
 
+def test_pool_rejects_a_sigma_of_the_wrong_length():
+    # a one-element sigma used to be broadcast over every kernel
+    with pytest.raises(ValueError, match="sigma must give one value per kernel"):
+        pool([1.0, 2.0, 3.0], PoolConfig(method="max", normalized=True, sigma=(2.0,)))
+
+
+def test_pool_rejects_fuse_weights_of_the_wrong_length():
+    with pytest.raises(ValueError, match="weights must give one value per kernel"):
+        pool([1.0, 2.0, 3.0], PoolConfig(method="fuse", nu=1.0), weights=[1.0])
+
+
+def test_pooled_test_rejects_a_sigma_of_the_wrong_length():
+    data = _two_sample(6)
+    rep = ReplicateSpec(count=19, method="permutation", seed=2)
+    collection = KernelCollection(tuple(gaussian_kernel(b) for b in (0.5, 1.0, 2.0)))
+    config = PoolConfig(method="mean", normalized=True, sigma=(2.0,))
+    with pytest.raises(ValueError, match="sigma must give one value per kernel: got 1 for 3"):
+        pooled_test(data, collection, config, rep, 0.05)
+
+
 def test_harmonic_weights_sum_below_one():
     for count in (1, 3, 10, 50):
         w = harmonic_weights(count)

@@ -17,14 +17,11 @@ from kerntest.resampling import (
     TAG_REPLICATE,
     ReplicateSpec,
     min_replicates,
-    pair_swap_signs,
-    permuted_statistic,
     rademacher,
     sample_paired_permutation,
     sample_two_sample_permutation,
     stream,
     test_decision as decide,
-    wild_bootstrap_statistic,
 )
 from kerntest.statistics import (
     CoreMatrix,
@@ -36,11 +33,13 @@ from kerntest.statistics import (
     core_matrix_hsic_wild,
     core_matrix_ksd,
     core_matrix_mmd,
+    hsic_centered_grams,
     incomplete_statistic,
     ksd_core_rows,
     u_statistic,
 )
 from kerntest.testing import independence_test, two_sample_test
+from oracles import hsic_permuted_statistic, pair_swap_signs, permuted_statistic, wild_bootstrap_statistic
 
 GAUSS = gaussian_kernel(1.0)
 
@@ -160,8 +159,9 @@ def test_identity_permutation_reproduces_original():
     x, y = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     core = core_matrix_mmd(GAUSS, TwoSampleData(x, y))
     assert permuted_statistic(core, []) == u_statistic(core)
-    hsic = core_matrix_hsic(GAUSS, GAUSS, PairedData.from_parts(x, y))
-    assert permuted_statistic(hsic, np.arange(6)) == u_statistic(hsic)
+    paired = PairedData.from_parts(x, y)
+    hsic = core_matrix_hsic(GAUSS, GAUSS, paired)
+    assert hsic_permuted_statistic(*hsic_centered_grams(GAUSS, GAUSS, paired), np.arange(6)) == u_statistic(hsic)
 
 
 def test_mmd_swap_equivalence_bit_exact():
@@ -224,12 +224,12 @@ def test_hsic_permuted_statistic_matches_recomputation():
     rng = np.random.default_rng(9)
     n = 7
     data = PairedData.from_parts(rng.normal(size=(n, 2)), rng.normal(size=(n, 1)))
-    core = core_matrix_hsic(GAUSS, GAUSS, data)
+    kc, lc = hsic_centered_grams(GAUSS, GAUSS, data)
     for b in range(5):
         perm = sample_paired_permutation(stream(3, TAG_REPLICATE, b), n)
         permuted_data = PairedData.from_parts(data.x_part, data.y_part[perm])
         rebuilt = core_matrix_hsic(GAUSS, GAUSS, permuted_data)
-        assert permuted_statistic(core, perm) == pytest.approx(u_statistic(rebuilt), rel=1e-10)
+        assert hsic_permuted_statistic(kc, lc, perm) == pytest.approx(u_statistic(rebuilt), rel=1e-10)
 
 
 # --- decisions -------------------------------------------------------------------
@@ -629,9 +629,9 @@ def _full_gather_replicates(data, pairs, rep, statistic):
     """The engine as it was before row blocking: both centred grams stacked
     over kernels and gathered whole, (K, chunk, n, n) at a time."""
     n = data.n
-    cores = [core_matrix_hsic(kx, ky, data) for kx, ky in pairs]
-    kc = np.stack([c.k_centered for c in cores])
-    lc = np.stack([c.l_centered for c in cores])
+    grams = [hsic_centered_grams(kx, ky, data) for kx, ky in pairs]
+    kc = np.stack([k for k, _ in grams])
+    lc = np.stack([l for _, l in grams])
     k_diag = np.einsum("kii->ki", kc).copy()
     l_diag = np.einsum("kii->ki", lc).copy()
     perms = np.array(_hsic_permutations(rep, n))
@@ -664,9 +664,9 @@ def test_hsic_permutation_engine_matches_full_matrix_statistics(n, kernels):
     # (K, B + 1) values per statistic kind, the original first
     got = {kind: engines.hsic_permutation_replicates(data, pairs, rep, kind) for kind in engines.STATISTIC_KINDS}
     for k, (kx, ky) in enumerate(pairs):
-        core = core_matrix_hsic(kx, ky, data)
-        np.testing.assert_allclose(got["u"][k], [permuted_statistic(core, p) for p in perms], rtol=1e-13)
-        sums = [np.einsum("ij,ij->", core.k_centered, core.l_centered[np.ix_(p, p)]) for p in perms]
+        kc, lc = hsic_centered_grams(kx, ky, data)
+        np.testing.assert_allclose(got["u"][k], [hsic_permuted_statistic(kc, lc, p) for p in perms], rtol=1e-13)
+        sums = [np.einsum("ij,ij->", kc, lc[np.ix_(p, p)]) for p in perms]
         np.testing.assert_allclose(got["v"][k], np.divide(sums, n * n), rtol=1e-13)
         np.testing.assert_allclose(got["sqrt_v"][k], np.sqrt(np.divide(sums, n * n)), rtol=1e-13)
 

@@ -16,15 +16,12 @@ from kerntest.statistics import (
     core_matrix_hsic_wild,
     core_matrix_ksd,
     core_matrix_mmd,
-    empirical_model_moments,
     incomplete_statistic,
-    one_sample_mmd,
-    two_sample_v_statistic,
     u_statistic,
     v_statistic,
 )
 from kerntest.kernels import gram_matrix
-from oracles import eval_kernel
+from oracles import empirical_model_moments, eval_kernel, one_sample_mmd, two_sample_v_statistic
 
 GAUSS = gaussian_kernel(1.0)
 
@@ -180,8 +177,11 @@ def test_hsic_wild_core_is_product_of_half_cores():
 
 
 def test_ksd_core_requires_scores():
-    with pytest.raises(ValueError, match="score"):
-        core_matrix_ksd(GAUSS, ModelSampleData(np.zeros((4, 1))))
+    # a KSD dataset always carries its scores, so every KSD core has them
+    with pytest.raises(TypeError, match="scores"):
+        ModelSampleData(np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="scores"):
+        ModelSampleData(np.zeros((4, 1)), None)
 
 
 def test_ksd_core_hand_expansion_1d():
@@ -321,7 +321,7 @@ def test_one_sample_mmd_self_moments_vanish():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(7, 2))
     embed, double = empirical_model_moments(GAUSS, x)
-    assert one_sample_mmd(GAUSS, ModelSampleData(x), embed, double) == pytest.approx(0.0, abs=1e-13)
+    assert one_sample_mmd(GAUSS, x, embed, double) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_one_sample_mmd_matches_two_sample_v_statistic():
@@ -329,7 +329,7 @@ def test_one_sample_mmd_matches_two_sample_v_statistic():
     x = rng.normal(size=(6, 2))
     model_pts = rng.normal(size=(2, 2))
     embed, double = empirical_model_moments(GAUSS, model_pts)
-    plug_in = one_sample_mmd(GAUSS, ModelSampleData(x), embed, double)
+    plug_in = one_sample_mmd(GAUSS, x, embed, double)
     v = two_sample_v_statistic(
         gram_matrix(GAUSS, x, x),
         gram_matrix(GAUSS, model_pts, model_pts),

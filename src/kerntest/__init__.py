@@ -3,24 +3,8 @@ wild-bootstrap calibration, kernel adaptivity (aggregation and pooling), and
 computationally efficient, differentially private and corruption-robust
 variants."""
 
-from .adaptive import (
-    AggregatedTestResult,
-    KernelCollection,
-    PoolConfig,
-    aggregated_test,
-    harmonic_weights,
-    pool,
-    pooled_test,
-)
-from .constrained import (
-    PrivacyParams,
-    RobustParams,
-    Sensitivity,
-    dp_test,
-    global_sensitivity,
-    laplace_inverse_cdf,
-    robust_test,
-)
+from .adaptive import AggregatedTestResult, KernelCollection, PoolConfig, harmonic_weights, pool
+from .constrained import PrivacyParams, RobustParams, Sensitivity, global_sensitivity, laplace_inverse_cdf
 from .errors import ConfigError, DataError, KerntestError
 from .kernels import (
     KernelSpec,
@@ -56,7 +40,9 @@ from .statistics import (
     u_statistic,
     v_statistic,
 )
-from .testing import goodness_of_fit_test, independence_test, two_sample_test
+from .testing import (
+    aggregated_test, dp_test, goodness_of_fit_test, independence_test, pooled_test, robust_test, two_sample_test,
+)
 
 __version__ = "0.1.0"
 

@@ -1,5 +1,10 @@
 """Kernel adaptivity: pooled statistics and aggregated multiple testing.
 
+This module holds the kernel collection, the pooling configuration and
+the two combine steps, ``_pooled`` and ``_aggregate_decide``, that
+``testing.run_test`` applies to the (K, B + 1) replicate values;
+``testing.pooled_test`` and ``testing.aggregated_test`` wrap it.
+
 Pooling combines the per-kernel statistics into a single statistic
 (mean, max, or the soft maximum "fuse") and calibrates that one number;
 each replicate is pooled with the identical configuration, on statistics
@@ -29,12 +34,24 @@ import warnings
 
 import numpy as np
 
-from .engines import collection_replicates, framework_of
-from .resampling import _INDEX_EPS, ReplicateSpec, TestResult, test_decision
+from .resampling import _INDEX_EPS, ReplicateSpec, TestResult
 from .statistics import TwoSampleData
-from .testing import _collection_descriptions, resolve_design
+
+# No function here calls these: testing.run_test does.  They stay
+# importable here because perfbench/spans.py TARGETS wraps them by name.
+from .engines import collection_replicates, resolve_design  # noqa: F401
+from .resampling import test_decision  # noqa: F401
 
 POOL_METHODS = ("mean", "max", "fuse")
+
+
+def _collection_descriptions(framework: str, entries) -> tuple:
+    """One description per kernel spec; an x and a y description per HSIC pair."""
+    if framework != "hsic":
+        return tuple(spec.describe() for spec in entries)
+    return tuple(
+        {**spec.describe(), "component": component} for pair in entries for spec, component in zip(pair, "xy")
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +107,8 @@ class PoolConfig:
     def __post_init__(self):
         if self.method not in POOL_METHODS:
             raise ValueError(f"unknown pooling method {self.method!r}")
+        if self.nu is not None and self.method != "fuse":
+            raise ValueError("the fusing parameter nu only applies to fuse pooling")
         if self.nu is not None and self.nu <= 0:
             raise ValueError("fusing parameter nu must be positive")
         if self.sigma is not None and any(s <= 0 for s in self.sigma):
@@ -144,45 +163,6 @@ def _default_nu(n: int, count: int) -> float:
     return float(max(n, math.log(count)))
 
 
-def pooled_test(
-    data,
-    collection: KernelCollection,
-    config: PoolConfig,
-    rep: ReplicateSpec,
-    alpha: float = 0.05,
-    *,
-    blocks: int | None = None,
-    design_size: int | None = None,
-    statistic: str | None = None,
-) -> TestResult:
-    """Calibrated test on the pooled statistic.
-
-    The original and every replicate are pooled in one call with the
-    identical configuration, so a replicate tied with the original stays
-    tied; with a single kernel the result is bit-identical to the
-    single-kernel test.  Normalisation scales default to the empirical
-    standard deviation of each kernel's replicate statistics (zero scales
-    fall back to one); given scales must number one per kernel.
-    """
-    framework = framework_of(data)
-    design = resolve_design(data, rep.method, blocks, design_size)
-    values = collection_replicates(data, list(collection.kernels), rep, statistic=statistic, design=design)
-    config = _with_runtime_defaults(config, data, collection, values[:, 1:])
-    if config.normalized:
-        values = values / _per_kernel(config.sigma, collection.size, "sigma")[:, None]
-    pooled = _pool_columns(values, config, collection.weight_vector())
-    return test_decision(
-        pooled[0],
-        pooled[1:],
-        alpha,
-        framework=framework,
-        method=rep.method,
-        seed=rep.seed,
-        kernels=_collection_descriptions(framework, collection.kernels),
-        constraint=None,
-    )
-
-
 def _sample_size(data) -> int:
     """The sample size N of the adaptivity and sensitivity bounds: min(m, n), or n."""
     return min(data.m, data.n) if isinstance(data, TwoSampleData) else data.n
@@ -195,15 +175,25 @@ def _with_runtime_defaults(config: PoolConfig, data, collection: KernelCollectio
         if config.nu is None:
             updates["nu"] = floor
         elif config.nu < floor:
+            # the caller of a public test or of execute, which call run_test,
+            # which calls _pooled, which calls this
             warnings.warn(
                 f"fusing parameter nu={config.nu} is below the recommended max(N, log|K|)={floor}",
-                stacklevel=3,
+                stacklevel=5,
             )
     if config.normalized and config.sigma is None:
         sigma = reps.std(axis=1)
         sigma = np.where(sigma > 0, sigma, 1.0)
         updates["sigma"] = tuple(float(s) for s in sigma)
     return dataclasses.replace(config, **updates) if updates else config
+
+
+def _pooled(values: np.ndarray, config: PoolConfig, data, collection: KernelCollection) -> np.ndarray:
+    """The pooled (B + 1) statistics of the (K, B + 1) values (see ``testing.pooled_test``)."""
+    config = _with_runtime_defaults(config, data, collection, values[:, 1:])
+    if config.normalized:
+        values = values / _per_kernel(config.sigma, collection.size, "sigma")[:, None]
+    return _pool_columns(values, config, collection.weight_vector())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,42 +310,6 @@ class _RankTable:
 def bonferroni_feasible(replicates: int, alpha: float, count: int) -> bool:
     """Whether the Bonferroni level alpha/|K| admits a quantile of B+1 pooled values."""
     return (replicates + 1) * alpha / count >= 1.0 - 1e-9
-
-
-def aggregated_test(
-    data,
-    collection: KernelCollection,
-    rep: ReplicateSpec,
-    alpha: float = 0.05,
-    *,
-    blocks: int | None = None,
-    design_size: int | None = None,
-    statistic: str | None = None,
-) -> AggregatedTestResult:
-    """Multiple test over the collection at the adjusted level u*.
-
-    Rejects when any kernel's original statistic exceeds its u*-level
-    quantile; u* is the largest feasible candidate level (a breakpoint of
-    the quantile counts, alpha/|K| or alpha).  The reported p-value is the
-    smallest level at which the aggregated test would reject,
-    min(|K| e_o, max(e_o, H(e_o)/B), 1) for the original's entry level e_o
-    and the number H(e_o) of replicates exceeding by then; it is at most
-    alpha exactly when the test rejects.  Both come from a rank table
-    built once per test, and the thresholds are gathered once, at u*.
-    With ``blocks`` or ``design_size`` (wild bootstrap only) each kernel's
-    statistic is its block or incomplete design mean, as for the
-    single-kernel test.
-    """
-    framework = framework_of(data)
-    count = collection.size
-    if not bonferroni_feasible(rep.count, alpha, count):
-        raise ValueError(
-            f"need (replicates+1) * alpha / |K| >= 1 for the Bonferroni level: "
-            f"got {rep.count} replicates for alpha={alpha}, |K|={count}"
-        )
-    design = resolve_design(data, rep.method, blocks, design_size)
-    values = collection_replicates(data, list(collection.kernels), rep, statistic=statistic, design=design)
-    return _aggregate_decide(values, alpha, framework, rep, collection)
 
 
 def _aggregate_decide(

@@ -1,7 +1,11 @@
 """Differentially private and corruption-robust MMD / HSIC tests.
 
-Both variants run the permutation test on the square-rooted V-statistic,
-whose global sensitivity under single-entry replacement scales like 1/N:
+This module holds their parameters, the sensitivity bounds and the
+constrain step, ``_constrain``, that ``testing.run_test`` applies to the
+(pooled) statistics; ``testing.dp_test`` and ``testing.robust_test`` wrap
+it.  Both variants run the permutation test on the square-rooted
+V-statistic, whose global sensitivity under single-entry replacement
+scales like 1/N:
 
 * privacy: independent Laplace noise of scale 2 * Delta / xi, with
   xi = epsilon + log(1/(1 - delta)), is added to the original statistic
@@ -33,11 +37,16 @@ import math
 
 import numpy as np
 
-from .adaptive import KernelCollection, PoolConfig, _pool_columns, _sample_size, _with_runtime_defaults
-from .engines import collection_replicates, framework_of
-from .resampling import ReplicateSpec, TAG_NOISE, TestResult, stream, test_decision
+from .adaptive import KernelCollection, _sample_size
+from .resampling import TAG_NOISE, stream
 from .statistics import core_bound
-from .testing import _collection_descriptions
+
+# No function here calls these: testing.run_test reads the replicates, pools
+# and decides.  They stay importable here because perfbench/spans.py TARGETS
+# wraps them by name.
+from .adaptive import _collection_descriptions, _pool_columns, _with_runtime_defaults  # noqa: F401
+from .engines import collection_replicates  # noqa: F401
+from .resampling import test_decision  # noqa: F401
 
 MMD_SENSITIVITY_CONSTANT = 2.0
 HSIC_SENSITIVITY_CONSTANT = 2.0
@@ -139,57 +148,32 @@ def _noise_vector(seed: int, count: int, scale: float) -> np.ndarray:
     return scale * laplace_inverse_cdf(u)
 
 
-def _constrained_test(
+def _constrain(
+    stats: np.ndarray,
+    framework: str,
     data,
-    kernel,
-    alpha: float,
-    rep: ReplicateSpec,
-    *,
-    privacy: PrivacyParams | None = None,
-    robust: RobustParams | None = None,
-    pool_config: PoolConfig | None = None,
-    sensitivity: Sensitivity | None = None,
-) -> TestResult:
-    framework = framework_of(data)
-    if framework == "ksd":
-        raise ValueError(
-            "private and robust KSD tests are not available: goodness-of-fit "
-            "testing cannot be framed as testing exchangeability"
-        )
-    if rep.method != "permutation":
-        raise ValueError("private/robust tests are permutation-based")
-    if isinstance(kernel, KernelCollection):
-        if pool_config is None:
-            raise ValueError("a kernel collection requires a pooling configuration")
-        if pool_config.normalized:
-            raise ValueError("normalised pooling is data-dependent and not supported under constraints")
-        collection = kernel
-    else:
-        collection = KernelCollection((kernel,))
+    collection: KernelCollection,
+    seed: int,
+    privacy: PrivacyParams | None,
+    robust: RobustParams | None,
+    sensitivity: Sensitivity | None,
+) -> tuple[np.ndarray, float, dict]:
+    """The noised (B + 1) statistics, index 0 the original's, the threshold
+    shift and the result's constraint record of a private or robust test."""
     if robust is not None:
         size = _sample_size(data)
         if robust.r > size:
             raise ValueError(f"r={robust.r} exceeds the sample size {size}")
-
-    values = collection_replicates(data, list(collection.kernels), rep, statistic="sqrt_v")
-    if collection.size > 1:
-        cfg = _with_runtime_defaults(pool_config, data, collection, values[:, 1:])
-        stats = _pool_columns(values, cfg, collection.weight_vector())
-    else:
-        stats = values[0]
-
-    bound = max(core_bound(entry, data) for entry in collection.kernels)
     if sensitivity is None:
-        if framework == "mmd":
-            sensitivity = global_sensitivity("mmd", bound, data.m, data.n)
-        else:
-            sensitivity = global_sensitivity("hsic", bound, data.n)
+        bound = max(core_bound(entry, data) for entry in collection.kernels)
+        sizes = (data.m, data.n) if framework == "mmd" else (data.n,)
+        sensitivity = global_sensitivity(framework, bound, *sizes)
     delta_stat = sensitivity.value
 
     xi = privacy.xi if privacy is not None else math.inf
     noise_scale = 0.0 if math.isinf(xi) else 2.0 * delta_stat / xi
     if noise_scale > 0.0:
-        stats = stats + _noise_vector(rep.seed, rep.count + 1, noise_scale)
+        stats = stats + _noise_vector(seed, stats.size, noise_scale)
 
     shift = 2.0 * robust.r * delta_stat if robust is not None else 0.0
     meta = {
@@ -198,55 +182,4 @@ def _constrained_test(
         "delta_sensitivity": delta_stat,
         "noise_scale": noise_scale,
     }
-    return test_decision(
-        stats[0],
-        stats[1:],
-        alpha,
-        threshold_shift=shift,
-        framework=framework,
-        method=rep.method,
-        seed=rep.seed,
-        kernels=_collection_descriptions(framework, collection.kernels),
-        constraint=meta,
-    )
-
-
-def dp_test(
-    data,
-    kernel,
-    alpha: float,
-    privacy: PrivacyParams,
-    rep: ReplicateSpec,
-    *,
-    pool_config: PoolConfig | None = None,
-    robust: RobustParams | None = None,
-    sensitivity: Sensitivity | None = None,
-) -> TestResult:
-    """(epsilon, delta)-differentially private permutation test (dpMMD / dpHSIC).
-
-    Passing ``robust`` additionally shifts the threshold by 2 r Delta; the
-    level adjustment that would turn the composed test into a certified
-    robust private test is left to the caller.
-    """
-    return _constrained_test(
-        data, kernel, alpha, rep,
-        privacy=privacy, robust=robust, pool_config=pool_config, sensitivity=sensitivity,
-    )
-
-
-def robust_test(
-    data,
-    kernel,
-    alpha: float,
-    robust: RobustParams,
-    rep: ReplicateSpec,
-    *,
-    pool_config: PoolConfig | None = None,
-    privacy: PrivacyParams | None = None,
-    sensitivity: Sensitivity | None = None,
-) -> TestResult:
-    """Corruption-robust permutation test (dcMMD / dcHSIC)."""
-    return _constrained_test(
-        data, kernel, alpha, rep,
-        privacy=privacy, robust=robust, pool_config=pool_config, sensitivity=sensitivity,
-    )
+    return stats, shift, meta

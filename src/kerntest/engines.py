@@ -152,10 +152,10 @@ def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -
     time; the statistics are those of (H + H') / 2, so a core need not be
     symmetric.  Returns the (K, B + 1) values, column 0 the original's
     (all-ones signs); one shared sign vector per replicate across the K
-    cores.  No
-    design means all off-diagonal pairs, i.e. one block, for which no
-    indices are built.  A sign row whose products eps_i eps_j are all +1 on
-    the design (constant within every block) gets the original's values.
+    cores.  No design means all off-diagonal pairs, i.e. one block; the
+    pairs of a block design are never built.  A sign row whose products
+    eps_i eps_j are all +1 on the design (constant within every block) gets
+    the original's values.
     """
     n = cores[0].n
     if any(c.n != n for c in cores):
@@ -169,7 +169,7 @@ def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -
     vals = np.empty((len(cores), rep.count + 1))
     blocks = 1 if design is None else design.block_count
     if blocks is not None:
-        size = n // blocks
+        size = n if design is None else design.block_size
         slices = [slice(b * size, (b + 1) * size) for b in range(blocks)]
         for k, c in enumerate(cores):
             acc = np.zeros(rep.count + 1)
@@ -340,6 +340,22 @@ def hsic_permutation_replicates(
     return vals
 
 
+def resolve_design(data, blocks: int | None, design_size: int | None) -> DesignSet | None:
+    """The design a wild-bootstrap test averages its core over; None means
+    all off-diagonal pairs.
+
+    The wild core has one row per MMD pair (m), per HSIC half-split block
+    (N/2) or per KSD sample point (n).
+    """
+    if blocks is None and design_size is None:
+        return None
+    framework = framework_of(data)
+    n = data.m if framework == "mmd" else (data.n // 2 if framework == "hsic" else data.n)
+    if blocks is not None:
+        return DesignSet.block(n, blocks)
+    return DesignSet.incomplete(n, design_size)
+
+
 def collection_replicates(
     data,
     kernel_entries: list,
@@ -352,22 +368,15 @@ def collection_replicates(
     right engine for the dataset / method combination.
 
     ``kernel_entries`` holds KernelSpec items (mmd, ksd) or
-    (KernelSpec, KernelSpec) pairs (hsic).  Permutation engines accept a
-    ``statistic`` kind (default "sqrt_v") and no design; the wild engine
-    averages the core over ``design`` (default: all off-diagonal pairs).
+    (KernelSpec, KernelSpec) pairs (hsic).  Permutation engines take a
+    ``statistic`` kind (default "sqrt_v"); the wild engine averages the
+    core over ``design`` (default: all off-diagonal pairs).  The options
+    are those ``testing.check_options`` accepts.
     """
     framework = framework_of(data)
     if rep.method == "permutation":
-        if design is not None:
-            raise ValueError("incomplete designs are only supported with the wild bootstrap")
-        kind = statistic or "sqrt_v"
-        if framework == "mmd":
-            return mmd_permutation_replicates(data, kernel_entries, rep, kind)
-        if framework == "hsic":
-            return hsic_permutation_replicates(data, kernel_entries, rep, kind)
-        raise ValueError("goodness-of-fit testing admits no permutation method; use the wild bootstrap")
-    if statistic is not None:
-        raise ValueError("wild-bootstrap statistics are design means; the statistic kind is not configurable")
+        engine = mmd_permutation_replicates if framework == "mmd" else hsic_permutation_replicates
+        return engine(data, kernel_entries, rep, statistic or "sqrt_v")
     if framework == "mmd":
         cores = [mmd_core_rows(spec, data) for spec in kernel_entries]
     elif framework == "hsic":

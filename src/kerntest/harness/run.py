@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..adaptive import (
-    KernelCollection,
-    PoolConfig,
-    aggregated_test,
-    bonferroni_feasible,
-    pooled_test,
-)
-from ..constrained import PrivacyParams, RobustParams, dp_test, robust_test
+from ..adaptive import KernelCollection, PoolConfig
+from ..constrained import PrivacyParams, RobustParams
 from ..errors import ConfigError, DataError, reported_as
 from ..kernels import STEIN_FAMILIES, KernelSpec, bandwidth_grid, median_heuristic
 from ..resampling import ReplicateSpec, TestResult
-from ..statistics import FRAMEWORKS, ModelSampleData, PairedData, TwoSampleData
-from ..testing import goodness_of_fit_test, independence_test, two_sample_test
+from ..testing import AGGREGATE, check_options, run_test
+
+# No function here calls the public tests: execute runs run_test.  They stay
+# importable here because perfbench/spans.py TARGETS wraps them by name.
+from ..testing import aggregated_test, dp_test, goodness_of_fit_test, independence_test  # noqa: F401
+from ..testing import pooled_test, robust_test, two_sample_test  # noqa: F401
 
 ADAPT_CHOICES = ("none", "agg", "pool:mean", "pool:max", "pool:fuse")
 # method names of the command line and of config files; the library's own
@@ -99,65 +97,34 @@ def validate_setup(setup: TestSetup) -> CheckedSetup:
     """Reject incoherent flags before any computation; return what they configure.
 
     Range rules live in the objects built here (ReplicateSpec, KernelSpec,
-    PoolConfig, PrivacyParams, RobustParams), whose ValueError is reported
-    as a ConfigError; the checks below are the rules between flags.
+    PoolConfig, PrivacyParams, RobustParams) and the rules between options
+    in ``testing.check_options``, whose ValueError is reported as a
+    ConfigError; the checks below are the rules of flags the library does
+    not take.
     """
     with reported_as(ConfigError):
-        if setup.framework not in FRAMEWORKS:
-            raise ConfigError(f"unknown framework {setup.framework!r}")
-        if not (0.0 < setup.alpha < 1.0):
-            raise ConfigError("alpha must lie in (0, 1)")
-        method = resolve_method(setup)
-        rep = ReplicateSpec(count=setup.replicates, method=method, seed=setup.seed)
         if setup.adapt not in ADAPT_CHOICES:
             raise ConfigError(f"unknown adaptivity mode {setup.adapt!r}")
         mode, value = _parse_bandwidth(setup.bandwidth)
-        constrained = setup.dp_epsilon is not None or setup.robust_r is not None
-
-        if setup.framework == "ksd":
-            if method == "permutation":
-                raise ConfigError("goodness-of-fit testing has no permutation method; use --method wild")
-            if constrained:
-                raise ConfigError("private/robust testing is not available for the KSD framework")
-        if setup.blocks is not None and setup.design_size is not None:
-            raise ConfigError("--blocks and --design-size are mutually exclusive")
-        if (setup.blocks is not None or setup.design_size is not None) and method != "wild_bootstrap":
-            raise ConfigError("block/incomplete statistics require --method wild")
-        if setup.blocks is not None and setup.blocks < 1:
-            raise ConfigError("--blocks must be at least 1")
-        if setup.design_size is not None and setup.design_size < 1:
-            raise ConfigError("--design-size must be at least 1")
-        if constrained:
-            if method != "permutation":
-                raise ConfigError("private/robust tests are permutation-based; drop --method wild")
-            if setup.adapt == "agg":
-                raise ConfigError("aggregation under privacy/robustness constraints is not supported")
-            if setup.normalized:
-                raise ConfigError("normalised pooling is not supported under privacy/robustness constraints")
-            if setup.blocks is not None or setup.design_size is not None:
-                raise ConfigError("block/incomplete statistics are not supported under constraints")
-        privacy = PrivacyParams(setup.dp_epsilon, setup.dp_delta) if setup.dp_epsilon is not None else None
-        if setup.dp_delta != 0.0 and privacy is None:
-            raise ConfigError("--dp-delta requires --dp-epsilon")
-        robust = RobustParams(setup.robust_r) if setup.robust_r is not None else None
         if mode == "grid" and setup.adapt == "none":
             raise ConfigError("a bandwidth grid needs an adaptive mode (--adapt agg or pool:*)")
-        if setup.adapt == "agg":
-            count = value if mode == "grid" else 1
-            if setup.framework == "hsic":
-                count *= count  # one kernel pair per (x, y) grid point
-            if not bonferroni_feasible(setup.replicates, setup.alpha, count):
-                raise ConfigError(
-                    f"--adapt agg needs (replicates+1) * alpha / |K| >= 1: got {setup.replicates} "
-                    f"replicates for alpha={setup.alpha}, |K|={count}"
-                )
-        if setup.nu is not None and setup.adapt != "pool:fuse":
-            raise ConfigError("--nu only applies to fuse pooling")
-        if setup.normalized and not setup.adapt.startswith("pool:"):
-            raise ConfigError("--normalized only applies to pooled tests")
-        pool = None
-        if setup.adapt.startswith("pool:"):
-            pool = PoolConfig(method=setup.adapt.split(":", 1)[1], nu=setup.nu, normalized=setup.normalized)
+        pooling = setup.adapt.startswith("pool:")
+        if (setup.nu is not None or setup.normalized) and not pooling:
+            raise ConfigError("--nu and --normalized only apply to pooled tests")
+        if setup.dp_delta != 0.0 and setup.dp_epsilon is None:
+            raise ConfigError("--dp-delta requires --dp-epsilon")
+        rep = ReplicateSpec(count=setup.replicates, method=resolve_method(setup), seed=setup.seed)
+        pool = PoolConfig(setup.adapt.split(":", 1)[1], setup.nu, setup.normalized) if pooling else None
+        privacy = PrivacyParams(setup.dp_epsilon, setup.dp_delta) if setup.dp_epsilon is not None else None
+        robust = RobustParams(setup.robust_r) if setup.robust_r is not None else None
+        count = value if mode == "grid" else 1
+        check_options(
+            setup.framework, rep, setup.alpha,
+            kernel_count=count * count if setup.framework == "hsic" else count,  # a pair per (x, y) grid point
+            combine=AGGREGATE if setup.adapt == "agg" else pool,
+            blocks=setup.blocks, design_size=setup.design_size,
+            constrained=privacy is not None or robust is not None,
+        )
         kernel = _kernel_template(setup, value if mode == "fixed" else 1.0)
         if setup.framework == "ksd" and kernel.family not in STEIN_FAMILIES:
             raise ConfigError(
@@ -196,40 +163,9 @@ def execute(setup: TestSetup, data) -> TestResult:
     as a wild-bootstrap MMD with m != n, and is raised as a DataError.
     """
     checked = validate_setup(setup)
-    rep, pool = checked.rep, checked.pool
     with reported_as(DataError):
-        collection = _resolve_kernels(setup, checked, data)
-        if checked.privacy is not None or checked.robust is not None:
-            kernels = collection if pool is not None else collection.kernels[0]
-            if checked.privacy is not None:
-                return dp_test(
-                    data, kernels, setup.alpha, checked.privacy, rep, pool_config=pool, robust=checked.robust
-                )
-            return robust_test(data, kernels, setup.alpha, checked.robust, rep, pool_config=pool)
-
-        if setup.adapt == "agg":
-            return aggregated_test(
-                data, collection, rep, setup.alpha, blocks=setup.blocks, design_size=setup.design_size
-            )
-        if pool is not None:
-            return pooled_test(
-                data, collection, pool, rep, setup.alpha, blocks=setup.blocks, design_size=setup.design_size
-            )
-
-        entry = collection.kernels[0]
-        if isinstance(data, TwoSampleData):
-            return two_sample_test(
-                data, None, entry, alpha=setup.alpha, replicates=rep.count,
-                method=rep.method, seed=rep.seed, blocks=setup.blocks, design_size=setup.design_size,
-            )
-        if isinstance(data, PairedData):
-            kx, ky = entry
-            return independence_test(
-                data, kx, ky, alpha=setup.alpha, replicates=rep.count,
-                method=rep.method, seed=rep.seed, blocks=setup.blocks, design_size=setup.design_size,
-            )
-        assert isinstance(data, ModelSampleData)
-        return goodness_of_fit_test(
-            data, None, entry, alpha=setup.alpha, replicates=rep.count,
-            seed=rep.seed, blocks=setup.blocks, design_size=setup.design_size,
+        return run_test(
+            data, _resolve_kernels(setup, checked, data), checked.rep, setup.alpha,
+            combine=AGGREGATE if setup.adapt == "agg" else checked.pool,
+            blocks=setup.blocks, design_size=setup.design_size, privacy=checked.privacy, robust=checked.robust,
         )

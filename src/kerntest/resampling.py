@@ -231,6 +231,11 @@ class TestResult:
         return out
 
 
+def check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def _alpha_count(alpha: float, pool_size: int) -> int:
     return int(math.floor(alpha * pool_size + _INDEX_EPS))
 
@@ -261,8 +266,7 @@ def test_decision(
     replicates = np.asarray(replicates, dtype=float)
     if replicates.ndim != 1 or replicates.size == 0:
         raise ValueError("replicates must be a nonempty 1-d array")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     pool = np.sort(np.concatenate([[original], replicates]))
     m = pool.size
     quantile = float(pool[threshold_index(alpha, m)])

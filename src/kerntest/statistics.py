@@ -235,35 +235,55 @@ class CoreRows(NamedTuple):
     block: Callable[[slice, slice], np.ndarray]
 
 
-@dataclasses.dataclass(frozen=True)
 class DesignSet:
     """An ordered set of index pairs (i, j) defining an incomplete statistic.
 
-    ``block_count`` marks the pairs of ``block`` (``full_offdiag`` is one
-    block); the wild engine then sums per-block quadratic forms instead of
-    gathering the pairs.
+    Explicit pairs are given as two index arrays.  ``block(n, k)`` is
+    structural: it holds the core's n and ``block_count`` k, its ``size``
+    is arithmetic, and its pairs are built only when ``idx_i`` or
+    ``idx_j`` is read.  The wild engine reads none of them: it sums
+    per-block quadratic forms.  ``full_offdiag(n)`` is one block.
     """
 
-    idx_i: np.ndarray
-    idx_j: np.ndarray
-    block_count: int | None = None
-
-    def __post_init__(self):
-        i = np.asarray(self.idx_i, dtype=np.intp)
-        j = np.asarray(self.idx_j, dtype=np.intp)
+    def __init__(self, idx_i, idx_j):
+        i = np.asarray(idx_i, dtype=np.intp)
+        j = np.asarray(idx_j, dtype=np.intp)
         if i.shape != j.shape or i.ndim != 1:
             raise ValueError("design index arrays must be 1-d and of equal length")
         if i.size == 0:
             raise ValueError("design must be nonempty")
-        object.__setattr__(self, "idx_i", i)
-        object.__setattr__(self, "idx_j", j)
+        self._pairs = (i, j)
+        self.n = self.block_count = None
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        # reached by block designs only: __init__ sets explicit pairs
+        size = self.block_size
+        ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+        mask = ii != jj
+        offsets = np.arange(self.block_count)[:, None] * size
+        return (offsets + ii[mask]).ravel(), (offsets + jj[mask]).ravel()
+
+    idx_i = property(lambda self: self._pairs[0])
+    idx_j = property(lambda self: self._pairs[1])
+
+    @property
+    def block_size(self) -> int:
+        """floor(n / block_count), for a block design."""
+        return self.n // self.block_count
 
     @property
     def size(self) -> int:
-        return self.idx_i.size
+        if self.block_count is None:
+            return self.idx_i.size
+        return self.block_count * self.block_size * (self.block_size - 1)
 
     def validate_for(self, core: CoreMatrix) -> None:
         n = core.n
+        if self.block_count is not None:
+            if n != self.n:
+                raise ValueError(f"a block design of n={self.n} does not fit a core of {n} rows")
+            return
         if self.idx_i.min() < 0 or self.idx_j.min() < 0 or self.idx_i.max() >= n or self.idx_j.max() >= n:
             raise ValueError("design pair out of range")
         if np.any(self.idx_i == self.idx_j):
@@ -285,14 +305,9 @@ class DesignSet:
         size = n // blocks
         if size < 2:
             raise ValueError(f"block size {size} < 2 for n={n}, blocks={blocks}")
-        parts_i, parts_j = [], []
-        for b in range(blocks):
-            lo = b * size
-            ii, jj = np.meshgrid(np.arange(lo, lo + size), np.arange(lo, lo + size), indexing="ij")
-            mask = ii != jj
-            parts_i.append(ii[mask])
-            parts_j.append(jj[mask])
-        return cls(np.concatenate(parts_i), np.concatenate(parts_j), block_count=blocks)
+        design = cls.__new__(cls)
+        design.n, design.block_count = n, blocks
+        return design
 
     @classmethod
     def incomplete(cls, n: int, size: int) -> "DesignSet":

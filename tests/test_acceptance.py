@@ -11,21 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from kerntest.adaptive import (
-    KernelCollection,
-    PoolConfig,
-    _RankTable,
-    _adjusted_thresholds,
-    aggregated_test,
-    pool,
-)
-from kerntest.constrained import (
-    PrivacyParams,
-    RobustParams,
-    dp_test,
-    global_sensitivity,
-    robust_test,
-)
+from kerntest.adaptive import KernelCollection, PoolConfig, _RankTable, _adjusted_thresholds, pool
+from kerntest.constrained import PrivacyParams, RobustParams, global_sensitivity
 from kerntest.engines import collection_replicates
 from kerntest.harness.config import ExperimentConfig
 from kerntest.harness.experiments import run_experiment
@@ -52,7 +39,7 @@ from kerntest.statistics import (
     u_statistic,
     v_statistic,
 )
-from kerntest.testing import two_sample_test
+from kerntest.testing import aggregated_test, dp_test, robust_test, two_sample_test
 from oracles import (
     cross_derivative_matrix,
     eval_kernel,

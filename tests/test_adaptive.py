@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kerntest import adaptive, engines
+from kerntest import engines, testing
 from kerntest.adaptive import (
     POOL_METHODS,
     KernelCollection,
@@ -14,10 +14,8 @@ from kerntest.adaptive import (
     _adjusted_thresholds,
     _aggregate_decide,
     _quantile_count,
-    aggregated_test,
     harmonic_weights,
     pool,
-    pooled_test,
 )
 from kerntest.harness import run as harness_run
 from kerntest.harness.cli import main
@@ -44,7 +42,7 @@ from kerntest.statistics import (
     incomplete_statistic,
     v_statistic,
 )
-from kerntest.testing import two_sample_test
+from kerntest.testing import aggregated_test, pooled_test, two_sample_test
 
 GAUSS = gaussian_kernel(1.0)
 
@@ -76,6 +74,8 @@ def test_pool_validation():
         pool([], PoolConfig(method="mean"))
     with pytest.raises(ValueError):
         PoolConfig(method="fuse", nu=-1.0)
+    with pytest.raises(ValueError, match="only applies to fuse"):
+        PoolConfig(method="mean", nu=2.0)  # would be ignored
     with pytest.raises(ValueError):
         pool([1.0, 2.0], PoolConfig(method="fuse"))  # nu unset
     with pytest.raises(ValueError):
@@ -259,7 +259,7 @@ def test_pooled_test_counts_replicates_tied_with_the_original(method, normalized
     # over ten kernels, an original pooled apart from its replicates is
     # rounded differently (the mean's product, the fuse's sum)
     data, collection, rep, tied = _tied_hsic_wild_case(10)
-    calls = recorded(adaptive, "test_decision")
+    calls = recorded(testing, "test_decision")
     result = pooled_test(data, collection, PoolConfig(method, normalized=normalized), rep, blocks=4)
     (((original, replicates, *_), _),) = calls
     assert tied.sum() >= 10
@@ -283,7 +283,7 @@ def test_aggregated_single_kernel_equals_single_test():
 
 def test_aggregated_test_counts_replicates_tied_with_the_original(recorded):
     data, collection, rep, tied = _tied_hsic_wild_case(3)
-    calls = recorded(adaptive, "collection_replicates")
+    calls = recorded(testing, "collection_replicates")
     result = aggregated_test(data, collection, rep, 0.05, blocks=4)
     ((_, vals),) = calls
     assert tied.sum() >= 10

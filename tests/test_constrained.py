@@ -3,21 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kerntest import constrained
+from kerntest import constrained, testing
 from kerntest.adaptive import POOL_METHODS, KernelCollection, PoolConfig, pool
-from kerntest.constrained import (
-    PrivacyParams,
-    RobustParams,
-    Sensitivity,
-    dp_test,
-    global_sensitivity,
-    laplace_inverse_cdf,
-    robust_test,
-)
+from kerntest.constrained import PrivacyParams, RobustParams, Sensitivity, global_sensitivity, laplace_inverse_cdf
 from kerntest.kernels import gaussian_kernel, gram_matrix
 from kerntest.resampling import TAG_NOISE, TAG_REPLICATE, ReplicateSpec, sample_two_sample_permutation, stream
 from kerntest.statistics import ModelSampleData, PairedData, TwoSampleData
-from kerntest.testing import two_sample_test
+from kerntest.testing import dp_test, robust_test, two_sample_test
 from oracles import two_sample_v_statistic
 
 GAUSS = gaussian_kernel(1.0)
@@ -345,7 +337,7 @@ def test_constrained_pooled_test_counts_replicates_tied_with_the_original(constr
     rep = ReplicateSpec(count=199, seed=26)
     draws = stream(rep.seed, TAG_REPLICATE, range(rep.count))
     kept = np.array([set(sample_two_sample_permutation(g, 2, 2)[:2]) == {0, 1} for g in draws])
-    calls = recorded(constrained, "test_decision")
+    calls = recorded(testing, "test_decision")
     config = PoolConfig(method)
     if constraint == "dp":
         result = dp_test(data, collection, 0.05, PrivacyParams(math.inf), rep, pool_config=config)

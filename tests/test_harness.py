@@ -307,6 +307,10 @@ def test_cli_usage_errors_before_computation(tmp_path, capsys):
         ["--bandwidth", "-1"],
         ["--bandwidth", "inf"],
         ["--bandwidth", "wide"],
+        ["--nu", "2"],  # pooling flags without pooling
+        ["--adapt", "agg", "--bandwidth", "grid:3", "--nu", "2"],
+        ["--normalized"],
+        ["--adapt", "pool:max", "--bandwidth", "grid:3", "--nu", "2"],  # PoolConfig: nu only for fuse
     ],
 )
 def test_cli_range_errors_exit_two_before_data(tmp_path, capsys, flags):

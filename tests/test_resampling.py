@@ -592,6 +592,17 @@ def test_mmd_permutation_replicates_allocate_masks_products_and_little_more(trac
     assert peak <= allowed
 
 
+def test_a_block_design_costs_the_wild_engine_no_index_pairs(traced_peak):
+    # block(512, 2) has 2 * 256 * 255 pairs, 2 MiB of indices, which the
+    # engine never reads: it sums per-block quadratic forms
+    rng = np.random.default_rng(10)
+    two = TwoSampleData(rng.normal(size=(512, 3)), rng.normal(size=(512, 3)))
+    specs, rep = [gaussian_kernel(1.0)], ReplicateSpec(count=199, method="wild_bootstrap", seed=4)
+    complete = traced_peak(lambda: collection_replicates(two, specs, rep))
+    blocks = traced_peak(lambda: collection_replicates(two, specs, rep, design=DesignSet.block(512, 2)))
+    assert blocks <= complete
+
+
 def test_mmd_permutation_replicates_hold_no_gram_at_n_1024(traced_peak):
     count, m = 199, 512
     rng = np.random.default_rng(9)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kerntest import statistics
+from kerntest.engines import wild_replicates
 from kerntest.kernels import gaussian_kernel, imq_kernel, laplace_kernel, standard_gaussian_score
+from kerntest.resampling import ReplicateSpec
 from kerntest.statistics import (
     CoreMatrix,
     DesignSet,
@@ -296,6 +298,24 @@ def test_block_matches_incomplete_block_design():
     for blocks in (1, 2, 3, 8):
         design = DesignSet.block(17, blocks)
         assert block_statistic(core, blocks) == incomplete_statistic(core, design)
+
+
+def test_block_design_makes_its_pairs_only_when_they_are_read(traced_peak):
+    assert traced_peak(lambda: DesignSet.block(4096, 2).size) < 4096  # not the 8 M pairs
+    design = DesignSet.block(17, 3)
+    assert design.size == 3 * 5 * 4 == design.idx_i.size == design.idx_j.size
+
+
+def test_block_design_fits_only_a_core_of_its_n():
+    # block(10, 2) on 12 rows once read block(12, 2)'s pairs in the wild engine
+    core = _random_core(np.random.default_rng(15), 12)
+    rep = ReplicateSpec(count=19, method="wild_bootstrap", seed=0)
+    for call in (
+        lambda: incomplete_statistic(core, DesignSet.block(10, 2)),
+        lambda: wild_replicates([core], DesignSet.block(10, 2), rep),
+    ):
+        with pytest.raises(ValueError, match="block design of n=10 does not fit a core of 12 rows"):
+            call()
 
 
 def test_superdiagonal_design():

@@ -49,6 +49,25 @@ def _unused_imports(path: Path) -> set[str]:
     return imported - used
 
 
+def test_only_run_test_reads_replicates_and_decides():
+    # every test goes through testing.run_test: no other function draws the
+    # replicate values or makes a decision
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("collection_replicates", "test_decision"):
+                        callers.add((_module_name(path), func.name, name))
+    assert callers == {
+        ("kerntest.testing", "run_test", "collection_replicates"),
+        ("kerntest.testing", "run_test", "test_decision"),
+    }
+
+
 def test_every_import_is_used():
     # the benchmark's traced pass wraps these names where they are imported,
     # so a module keeps them though it never calls them

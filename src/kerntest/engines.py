@@ -32,12 +32,15 @@ engine reads every core a block of rows at a time from the caches
 (``CoreRows``) and never holds one whole; the KSD Stein matrix is read
 before its averaging with the transpose, which quadratic forms do not
 need and a design's pairs make as they are read.  The HSIC permutation
-engine reads the two doubly-centred grams and gathers, per step, a
-cache-sized block of rows of each for a chunk of replicates
-(``_GATHER_CHUNK_ELEMENTS``), never their product core.
+engine holds one (N, N) matrix beside the caches, the centred Y gram, and
+reads the X gram's upper triangle a block of rows at a time, gathering the
+matching block of the centred gram per replicate: its statistics differ
+from a full-square sum in the last digits, its p-values not at all.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from .statistics import (
     ModelSampleData,
     PairedData,
     TwoSampleData,
-    hsic_centered_grams,
+    _double_center,
     hsic_wild_core_rows,
     ksd_core_rows,
     mmd_core_rows,
@@ -73,11 +76,10 @@ from .statistics import core_matrix_hsic, core_matrix_hsic_wild, core_matrix_ksd
 STATISTIC_KINDS = ("u", "v", "sqrt_v")
 
 _CHUNK_ELEMENTS = 1 << 22
-# What one step of a permutation engine gathers, sized to stay in cache
-# (512 KiB): the MMD engine's block of gram columns (at least
-# _GRAM_BLOCK_MIN_ROWS of them) or its masked (rows, N) products, or the
-# HSIC engine's two blocks of (rows, chunk, n) and (chunk, rows, n)
-# elements, each half of it.
+_SIGN_CHUNK_WORDS = 1 << 13  # raw words of the replicates _sign_matrix converts in one pass
+# What one step of the MMD permutation engine gathers, sized to stay in
+# cache (512 KiB): a block of gram columns (at least _GRAM_BLOCK_MIN_ROWS
+# of them) or its masked (rows, N) products.
 _GATHER_CHUNK_ELEMENTS = 1 << 16
 # Fewest gram columns in one block of the MMD engine: BLAS packs the masks
 # for every tile's product.  At B = 199 (1 BLAS thread) the engine with
@@ -85,6 +87,11 @@ _GATHER_CHUNK_ELEMENTS = 1 << 16
 # blocks of 64 made it 8% slower at N = 1024, and of 16 a third slower at
 # N = 4096.
 _GRAM_BLOCK_MIN_ROWS = 128
+# Elements of one tile of the HSIC permutation engine's upper triangle; a
+# tile that fits _TRIANGLE_MIN_CHUNK times is gathered for a chunk of
+# replicates at once (at n = 20 a loop over replicates cost more than the gather).
+_TRIANGLE_ELEMENTS = 1 << 15
+_TRIANGLE_MIN_CHUNK = 16
 
 
 def framework_of(data) -> str:
@@ -108,14 +115,15 @@ def _sign_matrix(seed: int, count: int, n: int) -> np.ndarray:
     out = np.empty((count + 1, n))
     out[0] = 1.0
     words = (n + 1) // 2
-    for b, rng in enumerate(stream(seed, TAG_REPLICATE, range(count)), start=1):
-        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
-        out[b] = raw.view("<u4")[:n]
-    # a word is at least 2**31 exactly when its top bit is set; no word is
-    # 2**31 - 0.5, so no sign is 0
-    replicates = out[1:]
-    replicates -= 2.0**31 - 0.5
-    np.sign(replicates, out=replicates)
+    raw = np.empty((max(1, min(count, _SIGN_CHUNK_WORDS // words)), words), dtype="<u8")
+    rngs = stream(seed, TAG_REPLICATE, range(count))
+    for lo in range(1, count + 1, len(raw)):
+        block = raw[: count + 1 - lo]
+        for row, rng in zip(block, rngs):
+            row[:] = rng.bit_generator.random_raw(words)
+        # top bit set <=> negative as int32 <=> complement >= 0 <=> copysign gives +1
+        signed = np.invert(block.view("<i4"), out=block.view("<i4"))
+        np.copysign(1.0, signed[:, :n], out=out[lo : lo + len(block)])
     return out
 
 
@@ -296,6 +304,14 @@ def mmd_permutation_replicates(
     return vals
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j), j >= i, of a (rows, cols) tile and their weights, 1
+    on the diagonal and 2 off it; shared between calls, so never written."""
+    i, j = np.nonzero(~np.tri(rows, cols, -1, dtype=bool))
+    return i, j, np.where(i == j, 1.0, 2.0)
+
+
 def hsic_permutation_replicates(
     data: PairedData,
     spec_pairs: list[tuple[KernelSpec, KernelSpec]],
@@ -306,37 +322,53 @@ def hsic_permutation_replicates(
     if statistic not in STATISTIC_KINDS:
         raise ValueError(f"unknown statistic kind {statistic!r}")
     n = data.n
-    perms = np.empty((rep.count + 1, n), dtype=np.int32)
+    perms = np.empty((rep.count + 1, n), dtype=np.intp)
     perms[0] = np.arange(n)
     for b, rng in enumerate(stream(rep.seed, TAG_REPLICATE, range(rep.count)), start=1):
         perms[b] = sample_paired_permutation(rng, n)
-    inverses = np.argsort(perms, axis=1).astype(np.int32)
-    # sum_ij K[i, j] L[p_i, p_j] = sum_ik K[i, q_k] L[p_i, k] with q = p^-1:
-    # a column and a row gather in place of one scattered (i, j) gather.  A
-    # step gathers a block of rows of both factors for a chunk of replicates
-    # and writes each row's sum; a replicate's total adds its row sums in row
-    # order, so no value depends on the block or chunk size.
-    block = _GATHER_CHUNK_ELEMENTS // 2
-    rows = max(1, min(n, block // n))
-    chunk = max(1, block // (rows * n))
+    # sum_ij (C K C)[i, j] L[p_i, p_j], L = C L C, is the sum with K - c for
+    # any constant c, as L's rows sum to zero; c, the first tile's mean, keeps
+    # the products near C K C's size.  The summand is symmetric, so row block
+    # [a, b) sums the pairs j >= i of the tile K[a:b, a:], those off the
+    # diagonal twice: one reduction per replicate and block, in block order.
+    height = max(1, _TRIANGLE_ELEMENTS // n)
+    blocks = [(a, min(a + height, n)) for a in range(0, n, height)]
     vals = np.empty((len(spec_pairs), rep.count + 1))
-    row_sums = np.empty((n, rep.count + 1))
     for k, (kx, ky) in enumerate(spec_pairs):
-        kc, lc = hsic_centered_grams(kx, ky, data)
-        for a in range(0, n, rows):
+        lc = _double_center(data.y_distances.gram(ky))
+        total, row_sums, diag = np.zeros(rep.count + 1), np.zeros(n), np.empty(n)
+        for a, b in blocks:
+            w = data.x_distances.gram(kx, slice(a, b), slice(a, n))
+            shift = w.mean() if a == 0 else shift
+            w -= shift
+            diag[a:b] = np.diagonal(w)
+            row_sums[a:b] += w.sum(axis=1)
+            row_sums[b:] += w[:, b - a :].sum(axis=0)  # K is symmetric: rows b:'s sums over columns a:b
+            if (b - a) * (n - a) * _TRIANGLE_MIN_CHUNK > _TRIANGLE_ELEMENTS:
+                # one replicate at a time, the tile's lower diagonal block included
+                w[:, b - a :] *= 2.0
+                for i, p in enumerate(perms):
+                    total[i] += np.vdot(lc.take(p[a:b], axis=0).take(p[a:], axis=1), w)
+                continue
+            # a small tile: its pairs j >= i for a chunk of replicates in one flat take
+            rows, cols, twice = _upper_pairs(b - a, n - a)
+            weights = w[rows, cols] * twice
+            chunk = _TRIANGLE_ELEMENTS // w.size
             for lo in range(0, rep.count + 1, chunk):
-                kq = np.take(kc[a : a + rows], inverses[lo : lo + chunk], axis=1)  # (rows, chunk, n)
-                lp = np.take(lc, perms[lo : lo + chunk, a : a + rows], axis=0)  # (chunk, rows, n)
-                np.einsum("icj,cij->ic", kq, lp, out=row_sums[a : a + rows, lo : lo + chunk])
-        total = row_sums.sum(axis=0)
+                q = np.ascontiguousarray(perms[lo : lo + chunk, a:].T)  # (n - a, chunk)
+                flat = (q[: b - a] * n).take(rows, axis=0) + q.take(cols, axis=0)
+                # (chunk, pairs) products: each row's sum is pairwise, as alone
+                total[lo : lo + chunk] += (lc.ravel().take(flat.T) * weights).sum(axis=1)
         if statistic == "u":
-            trace = np.diagonal(lc)[perms]
-            trace *= np.diagonal(kc)
-            vals[k] = (total - trace.sum(axis=1)) / (n * (n - 1))
+            # diag(C K C) from the shifted tiles: K_ii - 2 r_i + mean(r), r the row means
+            diag += (row_sums.mean() - 2.0 * row_sums) / n
+            for lo in range(0, rep.count + 1, height):
+                total[lo : lo + height] -= (np.diagonal(lc).take(perms[lo : lo + height]) * diag).sum(axis=1)
+            vals[k] = total / (n * (n - 1))
         else:
             v = total / (n * n)
             vals[k] = np.sqrt(np.maximum(v, 0.0)) if statistic == "sqrt_v" else v
-        del kc, lc  # freed before the next kernel's grams are built
+        del lc  # freed before the next kernel's gram is built
     return vals
 
 

@@ -12,7 +12,6 @@ import math
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..statistics import FRAMEWORKS
 from .generators import GENERATORS
 
 EXPERIMENTS = ("calibrate", "power", "rate_scaling", "constraint_sweep")
@@ -54,8 +53,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        if self.framework not in FRAMEWORKS:
-            raise ConfigError(f"unknown framework {self.framework!r}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if not self.sample_sizes:

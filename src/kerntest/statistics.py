@@ -11,9 +11,10 @@ core matrix H over index pairs:
 
 Two HSIC cores are provided.  ``core_matrix_hsic`` is the N x N
 doubly-centered product core of the permutation test; permuting the Y
-component conjugates its second factor, so the permutation engine reads
-the two centred factors (``hsic_centered_grams``, each gram centred in
-place a block of rows at a time) and never forms the product.
+component conjugates its second factor, so the permutation engine holds
+only that factor (``_double_center``, centred in place a block of rows
+at a time), reads the X gram's upper triangle a block of rows at a time
+from its cache and never forms the product.
 ``core_matrix_hsic_wild`` splits the N paired samples in half and
 multiplies the two half-sample MMD cores; for that (N/2) x (N/2) core,
 flipping the sign of block i is exactly equivalent to swapping pairs i
@@ -403,19 +404,14 @@ def _double_center(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def hsic_centered_grams(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> tuple[np.ndarray, np.ndarray]:
-    """The doubly-centered grams C K C and C L C of the X and Y components."""
-    return _double_center(data.x_distances.gram(kx)), _double_center(data.y_distances.gram(ky))
-
-
 def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreMatrix:
     """Doubly-centered product core H = (C K C) * (C L C), entrywise.
 
     Used with permutations of the Y component; Y-permutations act on the
     second factor by row/column conjugation.
     """
-    kc, lc = hsic_centered_grams(kx, ky, data)
-    return CoreMatrix(h=kc * lc, kernel_bound=core_bound((kx, ky), data), framework="hsic")
+    h = _double_center(data.x_distances.gram(kx)) * _double_center(data.y_distances.gram(ky))
+    return CoreMatrix(h=h, kernel_bound=core_bound((kx, ky), data), framework="hsic")
 
 
 def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreMatrix:

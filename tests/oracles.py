@@ -11,7 +11,7 @@
   (m = n) and the half-split HSIC core, flipping sign i swaps pair i, so
   the two agree bit for bit.  The doubly-centred HSIC core has no such
   identity; ``hsic_permuted_statistic`` permutes the Y component of its
-  two centred factors (``statistics.hsic_centered_grams``) instead.
+  two centred factors (``hsic_centered_grams``) instead.
 * The plug-in one-sample MMD against a model with known moments, and the
   merged-form two-sample MMD V-statistic from three grams.
 """
@@ -19,7 +19,7 @@
 import numpy as np
 
 from kerntest.kernels import KernelSpec, ScoreField, _as_points, _norm_const, _require_stein, gram_matrix
-from kerntest.statistics import CoreMatrix, DesignSet, _as_matrix, incomplete_statistic
+from kerntest.statistics import CoreMatrix, DesignSet, PairedData, _as_matrix, _double_center, incomplete_statistic
 
 
 def _difference_form(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, float]:
@@ -130,6 +130,11 @@ def permuted_statistic(core: CoreMatrix, swapped, design: DesignSet | None = Non
     swapping the pairs indexed by ``swapped`` (possibly empty)."""
     design = design if design is not None else DesignSet.full_offdiag(core.n)
     return incomplete_statistic(swap_permuted_core(core, pair_swap_signs(core.n, swapped)), design)
+
+
+def hsic_centered_grams(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> tuple[np.ndarray, np.ndarray]:
+    """The doubly-centred grams C K C and C L C of the X and Y components."""
+    return _double_center(data.x_distances.gram(kx)), _double_center(data.y_distances.gram(ky))
 
 
 def hsic_permuted_statistic(kc, lc, permutation, design: DesignSet | None = None) -> float:

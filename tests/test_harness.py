@@ -560,6 +560,17 @@ def test_experiment_config_errors_exit_two_before_any_draw(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_experiment_config_unknown_framework_exits_two_before_any_draw(tmp_path, capsys, monkeypatch):
+    # the framework rule lives once, in testing.check_options, which every
+    # grid cell's setup runs before the first draw
+    draws = []
+    monkeypatch.setattr(experiments, "builtin_generator", lambda *args: draws.append(args))
+    cfg = _write(tmp_path / "bad.cfg", "experiment = rate_scaling\nframework = banana\nsample_sizes = 8, 12\ntrials = 2\n")
+    assert main(["experiment", "run", "--config", cfg]) == 2
+    assert draws == []
+    assert "unknown framework 'banana'" in capsys.readouterr().err
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     cfg = _write(tmp_path / "bad.cfg", "experiment = calibrate\nframework = mmd\nbanana = 1\n")
     with pytest.raises(ConfigError, match="banana"):

@@ -33,13 +33,18 @@ from kerntest.statistics import (
     core_matrix_hsic_wild,
     core_matrix_ksd,
     core_matrix_mmd,
-    hsic_centered_grams,
     incomplete_statistic,
     ksd_core_rows,
     u_statistic,
 )
 from kerntest.testing import independence_test, two_sample_test
-from oracles import hsic_permuted_statistic, pair_swap_signs, permuted_statistic, wild_bootstrap_statistic
+from oracles import (
+    hsic_centered_grams,
+    hsic_permuted_statistic,
+    pair_swap_signs,
+    permuted_statistic,
+    wild_bootstrap_statistic,
+)
 
 GAUSS = gaussian_kernel(1.0)
 
@@ -568,6 +573,16 @@ def test_sign_matrix_rows_are_rademacher_draws(seed, count):
             assert np.array_equal(signs[b + 1], rademacher(rng, n))
 
 
+@pytest.mark.parametrize("n", [1, 201, 1024])
+def test_sign_matrix_values_do_not_depend_on_the_word_chunk(n, monkeypatch):
+    # the raw words of a chunk of replicates are converted in one pass: one
+    # replicate per chunk, a few with a shorter last chunk, or all at once
+    want = engines._sign_matrix(5, 37, n)
+    for words in (1, 3 * ((n + 1) // 2), 2**20):
+        monkeypatch.setattr(engines, "_SIGN_CHUNK_WORDS", words)
+        np.testing.assert_array_equal(engines._sign_matrix(5, 37, n), want)
+
+
 def test_sign_matrix_allocates_its_result_and_little_more(traced_peak):
     count, n = 499, 2048
     peak = traced_peak(lambda: engines._sign_matrix(3, count, n))
@@ -665,31 +680,33 @@ def _full_gather_replicates(data, pairs, rep, statistic):
 
 
 @pytest.mark.parametrize("kernels", [1, 3])
-@pytest.mark.parametrize("n", [20, 181, 182, 300])
+@pytest.mark.parametrize("n", [20, 181, 182, 300, 513])
 def test_hsic_permutation_engine_matches_full_matrix_statistics(n, kernels):
-    # up to n = 181 a gather block holds all rows; from 182 on it holds fewer,
-    # and at 182 and 300 they do not divide n
+    # up to n = 181 the upper triangle is one block of rows; from 182 on it
+    # has several, and at 182, 300 and 513 they do not divide n.  Up to
+    # n = 45 (and in the last block at 182 and 513) a chunk of replicates is
+    # gathered at once, else one replicate at a time.
     data, pairs = _hsic_case(n, kernels)
     rep = ReplicateSpec(count=19, seed=5)
     perms = _hsic_permutations(rep, n)
     # (K, B + 1) values per statistic kind, the original first
     got = {kind: engines.hsic_permutation_replicates(data, pairs, rep, kind) for kind in engines.STATISTIC_KINDS}
+    full = {kind: _full_gather_replicates(data, pairs, rep, kind) for kind in engines.STATISTIC_KINDS}
     for k, (kx, ky) in enumerate(pairs):
         kc, lc = hsic_centered_grams(kx, ky, data)
-        np.testing.assert_allclose(got["u"][k], [hsic_permuted_statistic(kc, lc, p) for p in perms], rtol=1e-13)
         sums = [np.einsum("ij,ij->", kc, lc[np.ix_(p, p)]) for p in perms]
-        np.testing.assert_allclose(got["v"][k], np.divide(sums, n * n), rtol=1e-13)
-        np.testing.assert_allclose(got["sqrt_v"][k], np.sqrt(np.divide(sums, n * n)), rtol=1e-13)
-
-
-@pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
-@pytest.mark.parametrize("n", [20, 181])
-def test_hsic_permutation_engine_single_kernel_values_are_unchanged(n, statistic):
-    data, pairs = _hsic_case(n, 1)
-    rep = ReplicateSpec(count=99, seed=6)
-    got = engines.hsic_permutation_replicates(data, pairs, rep, statistic)
-    for g, w in zip(got, _full_gather_replicates(data, pairs, rep, statistic), strict=True):
-        np.testing.assert_array_equal(g, w)
+        want = {
+            "u": [hsic_permuted_statistic(kc, lc, p) for p in perms],
+            "v": np.divide(sums, n * n),
+            "sqrt_v": np.sqrt(np.divide(sums, n * n)),
+        }
+        for kind in engines.STATISTIC_KINDS:
+            # the engine sums the triangle in another order than either
+            # reference: a u value near 0 (at n = 513 one is -2.8e-7 in a
+            # row reaching 4e-3) keeps only the row's absolute accuracy
+            atol = 1e-12 * np.abs(want[kind]).max()
+            np.testing.assert_allclose(got[kind][k], want[kind], rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(got[kind][k], full[kind][k], rtol=1e-12, atol=atol)
 
 
 def test_hsic_permutation_engine_values_do_not_depend_on_the_gather_budget(monkeypatch):
@@ -701,6 +718,19 @@ def test_hsic_permutation_engine_values_do_not_depend_on_the_gather_budget(monke
         got = engines.hsic_permutation_replicates(data, pairs, rep, "u")
         for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [20, 45])
+def test_hsic_permutation_engine_values_do_not_depend_on_the_replicate_chunk(n):
+    # a small tile is gathered for a chunk of replicates at once (81 at
+    # n = 20, 16 at n = 45): with B + 1 one more than a chunk, the last
+    # replicate is a chunk of its own and gets the value it has in a larger one
+    data, pairs = _hsic_case(n, 2)
+    chunk = engines._TRIANGLE_ELEMENTS // (n * n)
+    for statistic in engines.STATISTIC_KINDS:
+        alone = engines.hsic_permutation_replicates(data, pairs, ReplicateSpec(count=chunk, seed=8), statistic)
+        within = engines.hsic_permutation_replicates(data, pairs, ReplicateSpec(count=2 * chunk, seed=8), statistic)
+        np.testing.assert_array_equal(alone, within[:, : chunk + 1])
 
 
 @pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
@@ -780,35 +810,33 @@ def test_wild_single_test_counts_replicates_tied_with_the_original(
 
 
 @pytest.mark.parametrize("statistic", ["u", "sqrt_v"])
-def test_hsic_permutation_replicates_gather_blocks_not_matrices(statistic, monkeypatch, traced_peak):
+def test_hsic_permutation_replicates_gather_blocks_not_matrices(statistic, traced_peak):
     count, n = 199, 512
     data, pairs = _hsic_case(n, 1)
-    grams = engines.hsic_centered_grams(*pairs[0], data)
-    # the centred grams are built before tracing, so the peak is the engine's own
-    monkeypatch.setattr(engines, "hsic_centered_grams", lambda kx, ky, data: grams)
+    data.x_distances.squared, data.y_distances.squared  # cached before tracing: they are the dataset's
     rep = ReplicateSpec(count=count, seed=4)
     peak = traced_peak(lambda: engines.hsic_permutation_replicates(data, pairs, rep, statistic))
     rows = count + 1
-    # perms, their inverses, the per-row sums and the u trace's diagonal
-    # products, two gathered blocks, the B generator states and O(rows + n)
-    # vectors: one (n, n) temporary, or the grams stacked, breaks this
-    allowed = 4 * rows * n * 8 + engines._GATHER_CHUNK_ELEMENTS * 8 + 512 * count + 64 * (rows + n) + 2**16
-    assert peak <= allowed
+    # the centred Y gram, the perms as intp, a tile of the X gram and one
+    # replicate's row and column takes (or a chunk of the u trace), the B
+    # generator states and O(rows + n) vectors: a second gram, 2 MiB, or a
+    # (rows, n) float array, 0.8 MB, breaks this
+    allowed = n * n * 8 + rows * n * 8 + 3 * engines._TRIANGLE_ELEMENTS * 8
+    assert peak <= allowed + 512 * count + 64 * (rows + n) + 2**16
 
 
-def test_hsic_permutation_replicates_hold_two_grams_at_n_1024(traced_peak):
+def test_hsic_permutation_replicates_hold_one_gram_at_n_1024(traced_peak):
     count, n = 199, 1024
     data, pairs = _hsic_case(n, 1)
     data.x_distances.squared, data.y_distances.squared  # cached before tracing: they are the dataset's
     rep = ReplicateSpec(count=count, seed=4)
     peak = traced_peak(lambda: engines.hsic_permutation_replicates(data, pairs, rep, "v"))
     rows = count + 1
-    # the two grams, each centred in place a block of rows at a time, the
-    # perms and their inverses as int32, the per-row sums, two gathered
-    # blocks, the B generator states and O(rows + n) vectors: a third gram,
-    # 8 MiB, or the indices as intp, 1.6 MB more, break this
-    allowed = 2 * n * n * 8 + 2 * rows * n * 4 + rows * n * 8
-    allowed += (engines._GATHER_CHUNK_ELEMENTS + statistics._CORE_BLOCK_ELEMENTS) * 8
+    # the centred Y gram, centred in place a block of rows at a time, the
+    # perms as intp, a tile of the X gram and one replicate's row and column
+    # takes, the B generator states and O(rows + n) vectors: a second gram,
+    # 8 MiB, or a (rows, n) float array, 1.6 MB, breaks this
+    allowed = n * n * 8 + rows * n * 8 + 3 * engines._TRIANGLE_ELEMENTS * 8 + statistics._CORE_BLOCK_ELEMENTS * 8
     assert peak <= allowed + 512 * count + 64 * (rows + n) + 2**16
 
 

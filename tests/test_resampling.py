@@ -709,6 +709,20 @@ def test_hsic_permutation_engine_matches_full_matrix_statistics(n, kernels):
             np.testing.assert_allclose(got[kind][k], full[kind][k], rtol=1e-12, atol=atol)
 
 
+@pytest.mark.parametrize("statistic", engines.STATISTIC_KINDS)
+@pytest.mark.parametrize("n", [20, 181])
+def test_hsic_permutation_engine_single_kernel_values_are_unchanged(n, statistic):
+    # the triangle engine sums in another order than the full gather, so its
+    # values move in the last digits; the order of the B + 1 values, which is
+    # all a p-value reads, is exactly the full gather's
+    data, pairs = _hsic_case(n, 1)
+    rep = ReplicateSpec(count=99, seed=6)
+    got = engines.hsic_permutation_replicates(data, pairs, rep, statistic)
+    for g, w in zip(got, _full_gather_replicates(data, pairs, rep, statistic), strict=True):
+        np.testing.assert_array_equal(np.argsort(g, kind="stable"), np.argsort(w, kind="stable"))
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
 def test_hsic_permutation_engine_values_do_not_depend_on_the_gather_budget(monkeypatch):
     data, pairs = _hsic_case(300, 2)
     rep = ReplicateSpec(count=24, seed=7)

@@ -26,7 +26,6 @@ from .resampling import (
     test_decision,
 )
 from .statistics import (
-    CoreMatrix,
     DesignSet,
     ModelSampleData,
     PairedData,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregatedTestResult",
     "ConfigError",
-    "CoreMatrix",
     "DataError",
     "DesignSet",
     "KernelCollection",

@@ -234,7 +234,7 @@ class AggregatedTestResult(TestResult):
 def _quantile_count(level, pool_size: int):
     """Pool values above the (1 - level)-quantile, capped at pool_size - 1.
 
-    Elementwise `_alpha_count` for a level or an array of levels.  The cap
+    The floor `_alpha_count` starts from, for a level or an array of levels.  The cap
     makes a level whose count reaches the pool size (possible with
     non-uniform weights, where u * w_k * |K| can exceed one) read the pool
     minimum.

@@ -156,8 +156,8 @@ def _row_buckets(idx: np.ndarray, n: int, height: int) -> tuple[np.ndarray, np.n
 def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -> np.ndarray:
     """Wild-bootstrap statistics (1/|D|) sum eps_i eps_j H[i, j].
 
-    ``cores`` (``CoreMatrix`` or ``CoreRows``) are read a block of rows at a
-    time; the statistics are those of (H + H') / 2, so a core need not be
+    ``cores`` (``CoreRows``) are read a block of rows at a time; the
+    statistics are those of (H + H') / 2, so a core need not be
     symmetric.  Returns the (K, B + 1) values, column 0 the original's
     (all-ones signs); one shared sign vector per replicate across the K
     cores.  No design means all off-diagonal pairs, i.e. one block; the
@@ -169,8 +169,7 @@ def wild_replicates(cores: list, design: DesignSet | None, rep: ReplicateSpec) -
     if any(c.n != n for c in cores):
         raise ValueError("all core matrices must share the sample size")
     if design is not None:
-        for c in cores:
-            design.validate_for(c)
+        design.validate_for(n)
     elif n < 2:
         raise ValueError("need n >= 2")
     signs = _sign_matrix(rep.seed, rep.count, n)

@@ -185,8 +185,6 @@ _ROW_BLOCK_ELEMENTS = 1 << 13
 # Cap on the entries of a row block of the low-dimensional distance pass;
 # up to 128 points, one block covers the whole (n, n) matrix.
 _DISTANCE_BLOCK_ELEMENTS = 1 << 14
-# Side of the square tiles in which a Stein matrix is symmetrised.
-_SYMMETRISE_TILE = 128
 # Entries of one step of the bandwidth selection's pass over the upper
 # triangle; up to N = 256 one step copies all of it.
 _SELECT_BLOCK_ELEMENTS = 1 << 16
@@ -205,22 +203,6 @@ def _midrange(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     lo = np.minimum(A.min(axis=0), B.min(axis=0))
     hi = np.maximum(A.max(axis=0), B.max(axis=0))
     return 0.5 * lo + 0.5 * hi
-
-
-def _symmetrise(D: np.ndarray) -> None:
-    """D <- (D + D.T) / 2 in place, exactly symmetric.
-
-    Tile by tile: no n x n temporary, and the transposed reads stay in cache.
-    """
-    n = D.shape[0]
-    for lo in range(0, n, _SYMMETRISE_TILE):
-        rows = slice(lo, lo + _SYMMETRISE_TILE)
-        for lo2 in range(lo, n, _SYMMETRISE_TILE):
-            cols = slice(lo2, lo2 + _SYMMETRISE_TILE)
-            T = D[rows, cols] + D[cols, rows].T
-            T *= 0.5
-            D[rows, cols] = T
-            D[cols, rows] = T.T
 
 
 def _sq_distances(A: np.ndarray, B: np.ndarray, lam: np.ndarray | None, same: bool) -> np.ndarray:
@@ -532,9 +514,8 @@ def stein_blocks(spec: KernelSpec, points, scores) -> Callable[[slice, slice], n
     return block
 
 
-# The wild engine streams stein_blocks; this held matrix serves
-# core_matrix_ksd, and keeps its name because perfbench/spans.py TARGETS
-# wraps kernels.stein_matrix.
+# Only core_matrix_ksd holds a Stein matrix (the wild engine streams
+# stein_blocks); perfbench/spans.py TARGETS wraps kernels.stein_matrix.
 def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     """Matrix of Stein kernel values over one sample, exactly symmetric.
 
@@ -544,11 +525,11 @@ def stein_matrix(spec: KernelSpec, points, scores) -> np.ndarray:
     ValueError for a family outside ``STEIN_FAMILIES``.
     """
     dists = _distances(points)
-    block = stein_blocks(spec, dists, scores)
     whole = slice(0, dists.points.shape[0])
-    # the builder's row temporaries are freed before the tiles are averaged
-    H = block(whole, whole)
-    _symmetrise(H)
+    H = stein_blocks(spec, dists, scores)(whole, whole)
+    # numpy reads the overlapping H.T from a copy: (i, j) and (j, i) get H_ij + H_ji
+    H += H.T
+    H *= 0.5
     return H
 
 

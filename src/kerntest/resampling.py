@@ -237,7 +237,10 @@ def check_alpha(alpha: float) -> None:
 
 
 def _alpha_count(alpha: float, pool_size: int) -> int:
-    return int(math.floor(alpha * pool_size + _INDEX_EPS))
+    """The largest k <= pool_size - 1 with k / pool_size <= alpha, so that a
+    p-value ge / pool_size is at most alpha exactly when ge <= k."""
+    k = min(int(math.floor(alpha * pool_size + _INDEX_EPS)), pool_size - 1)
+    return k - 1 if k / pool_size > alpha else k
 
 
 def threshold_index(alpha: float, pool_size: int) -> int:

@@ -9,6 +9,10 @@ core matrix H over index pairs:
 * block B-statistic: mean over the within-block off-diagonal pairs of
   consecutive blocks (the trailing smaller block is dropped).
 
+A held core, the reference the streamed engines are checked against, is
+its (n, n) float array: the ``core_matrix_*`` builders return one, the
+four statistics at the end average one, and ``core_bound`` gives K_h.
+
 Two HSIC cores are provided.  ``core_matrix_hsic`` is the N x N
 doubly-centered product core of the permutation test; permuting the Y
 component conjugates its second factor, so the permutation engine holds
@@ -24,9 +28,9 @@ reads the MMD and HSIC wild cores and the KSD Stein matrix as
 ``CoreRows``, a block of rows at a time from the distance caches;
 ``core_matrix_mmd`` and ``core_matrix_hsic_wild`` stack those blocks, and
 ``core_matrix_ksd`` stacks the Stein builder's and averages them with the
-transpose.  The reference statistics that check the engines against
-these identities (sign flips as pair swaps, Y-permutations of the centred
-factors) are test oracles, in ``tests/oracles.py``.
+transpose.  The oracles that check the engines against these identities
+(sign flips as pair swaps, Y-permutations of the centred factors) are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -195,35 +199,6 @@ class ModelSampleData:
         return PointDistances(self.x)
 
 
-Dataset = TwoSampleData | PairedData | ModelSampleData
-
-
-@dataclasses.dataclass(frozen=True)
-class CoreMatrix:
-    """Symmetric matrix of core-function values with its closed-form bound."""
-
-    h: np.ndarray
-    kernel_bound: float
-    framework: str
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("core matrix must be square")
-        if self.framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {self.framework!r}")
-        object.__setattr__(self, "h", h)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-    height = property(lambda self: self.n, doc="Rows per block read by the wild engine: all of them.")
-
-    def block(self, rows: slice, cols: slice) -> np.ndarray:
-        return self.h[rows, cols]
-
-
 class CoreRows(NamedTuple):
     """A core matrix never held whole: ``block(rows, cols)`` makes H[rows,
     cols] as a new array, and the wild engine reads ``height`` rows at a
@@ -279,8 +254,8 @@ class DesignSet:
             return self.idx_i.size
         return self.block_count * self.block_size * (self.block_size - 1)
 
-    def validate_for(self, core: CoreMatrix) -> None:
-        n = core.n
+    def validate_for(self, n: int) -> None:
+        """Raise ValueError unless the pairs index a core of n rows off its diagonal."""
         if self.block_count is not None:
             if n != self.n:
                 raise ValueError(f"a block design of n={self.n} does not fit a core of {n} rows")
@@ -363,11 +338,18 @@ def _stacked(core: CoreRows) -> np.ndarray:
     return h
 
 
-def core_bound(entry, data: TwoSampleData | PairedData) -> float:
-    """K_h of the MMD core (4 K), or of an HSIC core (16 K_x K_y) for a (kx, ky) entry."""
+def core_bound(entry, data: TwoSampleData | PairedData | ModelSampleData) -> float:
+    """K_h of the MMD core (4 K), of an HSIC core (16 K_x K_y) for a (kx, ky) entry,
+    or of the Stein core from the score bound, else the largest score norm seen."""
     if isinstance(data, PairedData):
         kx, ky = entry
         return 16.0 * kernels.kernel_bound(kx, data.split) * kernels.kernel_bound(ky, data.z.shape[1] - data.split)
+    if isinstance(data, ModelSampleData):
+        if data.score_bound is not None:
+            s_bound = float(data.score_bound)
+        else:
+            s_bound = float(np.sqrt((data.scores**2).sum(axis=1)).max())
+        return kernels.stein_kernel_bound(entry, data.x.shape[1], s_bound)
     return 4.0 * kernels.kernel_bound(entry, data.x.shape[1])
 
 
@@ -382,14 +364,13 @@ def mmd_core_rows(spec: KernelSpec, data: TwoSampleData) -> CoreRows:
     return CoreRows(data.m, max(1, _CORE_BLOCK_ELEMENTS // data.m), block)
 
 
-def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> CoreMatrix:
+def core_matrix_mmd(spec: KernelSpec, data: TwoSampleData) -> np.ndarray:
     """One-sample second-order MMD core for paired two-sample data (m = n).
 
     H[i, j] = k(X_i, X_j) - k(X_j, Y_i) - k(X_i, Y_j) + k(Y_i, Y_j).
     Swapping a pair (X_i, Y_i) negates row and column i.
     """
-    h = _stacked(mmd_core_rows(spec, data))
-    return CoreMatrix(h=h, kernel_bound=core_bound(spec, data), framework="mmd")
+    return _stacked(mmd_core_rows(spec, data))
 
 
 def _double_center(g: np.ndarray) -> np.ndarray:
@@ -404,17 +385,16 @@ def _double_center(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreMatrix:
+def core_matrix_hsic(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> np.ndarray:
     """Doubly-centered product core H = (C K C) * (C L C), entrywise.
 
     Used with permutations of the Y component; Y-permutations act on the
     second factor by row/column conjugation.
     """
-    h = _double_center(data.x_distances.gram(kx)) * _double_center(data.y_distances.gram(ky))
-    return CoreMatrix(h=h, kernel_bound=core_bound((kx, ky), data), framework="hsic")
+    return _double_center(data.x_distances.gram(kx)) * _double_center(data.y_distances.gram(ky))
 
 
-def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreMatrix:
+def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> np.ndarray:
     """Half-split product core for the wild-bootstrap HSIC test (N even).
 
     With n = N/2, block i carries pairs i and i+n and
@@ -423,8 +403,7 @@ def core_matrix_hsic_wild(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> C
     swapping (X_i, Y_i) with (X_{i+n}, Y_{i+n})'s Y component, i.e. the
     permutation that swaps i with i + N/2.
     """
-    h = _stacked(hsic_wild_core_rows(kx, ky, data))
-    return CoreMatrix(h=h, kernel_bound=core_bound((kx, ky), data), framework="hsic")
+    return _stacked(hsic_wild_core_rows(kx, ky, data))
 
 
 def hsic_wild_core_rows(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> CoreRows:
@@ -445,37 +424,42 @@ def ksd_core_rows(spec: KernelSpec, data: ModelSampleData) -> CoreRows:
     return CoreRows(n, min(n, _STEIN_BLOCK_MAX_ROWS, max(n // 8, _STEIN_BLOCK_MIN_ELEMENTS // n)), block)
 
 
-def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> CoreMatrix:
+def core_matrix_ksd(spec: KernelSpec, data: ModelSampleData) -> np.ndarray:
     """Stein kernel core H[i, j] = h_P(X_i, X_j) from score values."""
-    h = kernels.stein_matrix(spec, data.distances, data.scores)
-    if data.score_bound is not None:
-        s_bound = float(data.score_bound)
-    else:
-        s_bound = float(np.sqrt((data.scores**2).sum(axis=1)).max())
-    bound = kernels.stein_kernel_bound(spec, data.x.shape[1], s_bound)
-    return CoreMatrix(h=h, kernel_bound=bound, framework="ksd")
+    return kernels.stein_matrix(spec, data.distances, data.scores)
 
 
-def v_statistic(core: CoreMatrix) -> float:
-    """Mean of the core matrix over all pairs, diagonal included."""
-    n = core.n
-    return float(core.h.sum() / (n * n))
+def _square(h) -> np.ndarray:
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("core matrix must be square")
+    return h
 
 
-def incomplete_statistic(core: CoreMatrix, design: DesignSet) -> float:
+def v_statistic(h) -> float:
+    """Mean of the (n, n) core matrix over all pairs, diagonal included."""
+    h = _square(h)
+    n = h.shape[0]
+    return float(h.sum() / (n * n))
+
+
+def incomplete_statistic(h, design: DesignSet) -> float:
     """Mean of the core values over the design pairs."""
-    design.validate_for(core)
-    return float(core.h[design.idx_i, design.idx_j].sum() / design.size)
+    h = _square(h)
+    design.validate_for(h.shape[0])
+    return float(h[design.idx_i, design.idx_j].sum() / design.size)
 
 
-def u_statistic(core: CoreMatrix) -> float:
+def u_statistic(h) -> float:
     """Off-diagonal mean; shares the gather-and-sum path of the full design,
-    so block_statistic(core, 1) reproduces it bit-for-bit."""
-    if core.n < 2:
+    so block_statistic(h, 1) reproduces it bit-for-bit."""
+    h = _square(h)
+    if h.shape[0] < 2:
         raise ValueError("U-statistic needs at least 2 samples")
-    return incomplete_statistic(core, DesignSet.full_offdiag(core.n))
+    return incomplete_statistic(h, DesignSet.full_offdiag(h.shape[0]))
 
 
-def block_statistic(core: CoreMatrix, blocks: int) -> float:
+def block_statistic(h, blocks: int) -> float:
     """Mean of the complete U-statistics over `blocks` consecutive blocks."""
-    return incomplete_statistic(core, DesignSet.block(core.n, blocks))
+    h = _square(h)
+    return incomplete_statistic(h, DesignSet.block(h.shape[0], blocks))

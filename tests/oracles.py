@@ -5,7 +5,7 @@
   its Stein matrices in closed form from the distance cache
   (``kernels.stein_blocks``); these formulas, and finite differences,
   check that form.
-* The null-simulation identities, on held core matrices: a wild-bootstrap
+* The null-simulation identities, on held (n, n) core arrays: a wild-bootstrap
   statistic with given signs, and the same statistic after the pair swaps
   those signs stand for (``permuted_statistic``).  For the MMD core
   (m = n) and the half-split HSIC core, flipping sign i swaps pair i, so
@@ -19,7 +19,7 @@
 import numpy as np
 
 from kerntest.kernels import KernelSpec, ScoreField, _as_points, _norm_const, _require_stein, gram_matrix
-from kerntest.statistics import CoreMatrix, DesignSet, PairedData, _as_matrix, _double_center, incomplete_statistic
+from kerntest.statistics import CoreRows, DesignSet, PairedData, _as_matrix, _double_center, incomplete_statistic
 
 
 def _difference_form(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, float]:
@@ -91,13 +91,20 @@ def stein_kernel(spec: KernelSpec, score: ScoreField, x, y) -> float:
     return float(k * (sx @ sy) + g1 @ sy + (-g1) @ sx + c)
 
 
-def wild_bootstrap_statistic(core: CoreMatrix, design: DesignSet, signs) -> float:
+def held_rows(h) -> CoreRows:
+    """A held (n, n) core as the wild engine reads a streamed one: all its
+    rows in one block, as views, which the engine only reads."""
+    return CoreRows(h.shape[0], h.shape[0], lambda rows, cols: h[rows, cols])
+
+
+def wild_bootstrap_statistic(h, design: DesignSet, signs) -> float:
     """(1/|D|) sum over (i,j) in D of eps_i eps_j H[i, j]."""
     signs = np.asarray(signs, dtype=float)
-    if signs.shape != (core.n,):
-        raise ValueError(f"sign vector of length {signs.size} does not match core size {core.n}")
-    design.validate_for(core)
-    vals = core.h[design.idx_i, design.idx_j]
+    n = h.shape[0]
+    if signs.shape != (n,):
+        raise ValueError(f"sign vector of length {signs.size} does not match core size {n}")
+    design.validate_for(n)
+    vals = h[design.idx_i, design.idx_j]
     e = signs[design.idx_i] * signs[design.idx_j]
     return float((vals * e).sum() / design.size)
 
@@ -109,7 +116,7 @@ def pair_swap_signs(n: int, swapped) -> np.ndarray:
     return signs
 
 
-def swap_permuted_core(core: CoreMatrix, signs) -> CoreMatrix:
+def swap_permuted_core(h, signs) -> np.ndarray:
     """Core matrix after swapping the pairs with sign -1.
 
     For the MMD core (and the half-split HSIC core) swapping pair i
@@ -117,19 +124,17 @@ def swap_permuted_core(core: CoreMatrix, signs) -> CoreMatrix:
     sign-conjugated matrix; the conjugation is exact in floating point.
     """
     signs = np.asarray(signs, dtype=float)
-    if signs.shape != (core.n,):
+    if signs.shape != (h.shape[0],):
         raise ValueError("sign vector length does not match core size")
-    if core.framework == "ksd":
-        raise ValueError("goodness-of-fit data admits no null-simulating permutation")
-    flipped = (signs[:, None] * signs[None, :]) * core.h
-    return CoreMatrix(h=flipped, kernel_bound=core.kernel_bound, framework=core.framework)
+    return (signs[:, None] * signs[None, :]) * h
 
 
-def permuted_statistic(core: CoreMatrix, swapped, design: DesignSet | None = None) -> float:
+def permuted_statistic(h, swapped, design: DesignSet | None = None) -> float:
     """Design-mean statistic of an MMD core or a half-split HSIC core after
     swapping the pairs indexed by ``swapped`` (possibly empty)."""
-    design = design if design is not None else DesignSet.full_offdiag(core.n)
-    return incomplete_statistic(swap_permuted_core(core, pair_swap_signs(core.n, swapped)), design)
+    n = h.shape[0]
+    design = design if design is not None else DesignSet.full_offdiag(n)
+    return incomplete_statistic(swap_permuted_core(h, pair_swap_signs(n, swapped)), design)
 
 
 def hsic_centered_grams(kx: KernelSpec, ky: KernelSpec, data: PairedData) -> tuple[np.ndarray, np.ndarray]:
@@ -145,9 +150,8 @@ def hsic_permuted_statistic(kc, lc, permutation, design: DesignSet | None = None
     perm = np.asarray(permutation, dtype=np.intp)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("not a permutation of range(N)")
-    # the bound is never read by the statistic
-    core = CoreMatrix(h=kc * lc[np.ix_(perm, perm)], kernel_bound=0.0, framework="hsic")
-    return incomplete_statistic(core, design if design is not None else DesignSet.full_offdiag(n))
+    design = design if design is not None else DesignSet.full_offdiag(n)
+    return incomplete_statistic(kc * lc[np.ix_(perm, perm)], design)
 
 
 def two_sample_v_statistic(gram_xx, gram_yy, gram_xy) -> float:

@@ -25,12 +25,12 @@ from kerntest.kernels import (
 )
 from kerntest.resampling import ReplicateSpec
 from kerntest.statistics import (
-    CoreMatrix,
     DesignSet,
     ModelSampleData,
     PairedData,
     TwoSampleData,
     block_statistic,
+    core_bound,
     core_matrix_hsic,
     core_matrix_hsic_wild,
     core_matrix_ksd,
@@ -144,16 +144,16 @@ def test_criterion_03_u_v_inequality():
     for _ in range(1000):
         n = int(rng.integers(3, 31))
         x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)) * float(rng.uniform(0.5, 2.0))
+        two, paired = TwoSampleData(x, y), PairedData.from_parts(x, y)
+        model, stein = ModelSampleData.from_score_field(x, standard_gaussian_score()), imq_kernel(1.0)
         cores = [
-            core_matrix_mmd(GAUSS, TwoSampleData(x, y)),
-            core_matrix_hsic(GAUSS, GAUSS, PairedData.from_parts(x, y)),
-            core_matrix_ksd(
-                imq_kernel(1.0), ModelSampleData.from_score_field(x, standard_gaussian_score())
-            ),
+            (core_matrix_mmd(GAUSS, two), core_bound(GAUSS, two)),
+            (core_matrix_hsic(GAUSS, GAUSS, paired), core_bound((GAUSS, GAUSS), paired)),
+            (core_matrix_ksd(stein, model), core_bound(stein, model)),
         ]
-        for core in cores:
+        for core, bound in cores:
             checks += 1
-            if u_statistic(core) < v_statistic(core) - 2.0 * core.kernel_bound / n:
+            if u_statistic(core) < v_statistic(core) - 2.0 * bound / n:
                 violations += 1
     _report(
         "criterion 3 (U/V inequality)",
@@ -174,7 +174,7 @@ def test_criterion_04_block_identity():
     for _ in range(100):
         n = int(rng.integers(4, 40))
         h = rng.uniform(-1, 1, size=(n, n))
-        core = CoreMatrix(h=0.5 * (h + h.T), kernel_bound=1.0, framework="mmd")
+        core = 0.5 * (h + h.T)
         if block_statistic(core, 1) != u_statistic(core):
             bit_mismatch += 1
         for blocks in (2, n // 2):

@@ -18,6 +18,7 @@ from kerntest.kernels import (
     laplace_kernel,
     median_heuristic,
     standard_gaussian_score,
+    stein_blocks,
     stein_kernel_bound,
     stein_matrix,
     student_t_score,
@@ -498,6 +499,30 @@ def test_stein_matrix_symmetric_and_matches_scalar():
     for i in range(7):
         for j in range(7):
             assert h[i, j] == pytest.approx(stein_kernel(imq_kernel(1.0), score, pts[i], pts[j]), rel=1e-12)
+
+
+def _tiled_average(h, tile=128):
+    """(H + H') / 2 in place, a pair of square tiles at a time."""
+    n = h.shape[0]
+    for lo in range(0, n, tile):
+        rows = slice(lo, lo + tile)
+        for lo2 in range(lo, n, tile):
+            cols = slice(lo2, lo2 + tile)
+            t = h[rows, cols] + h[cols, rows].T
+            t *= 0.5
+            h[rows, cols] = t
+            h[cols, rows] = t.T
+    return h
+
+
+@pytest.mark.parametrize("n", [5, 130, 300, 517])
+@pytest.mark.parametrize("spec", [gaussian_kernel(0.9), imq_kernel(1.3), gaussian_kernel((0.5, 1.0, 2.0))])
+def test_stein_matrix_equals_the_tiled_average_of_its_blocks(spec, n):
+    # the in-place H += H.T reads H.T from a copy: bit for bit the tiled average
+    pts = np.random.default_rng(n).normal(size=(n, 3))
+    dists, whole = PointDistances(pts), slice(0, n)
+    expected = _tiled_average(stein_blocks(spec, dists, -pts)(whole, whole))
+    assert np.array_equal(stein_matrix(spec, dists, -pts), expected)
 
 
 @pytest.mark.parametrize("spec", [gaussian_kernel(1.0), imq_kernel(1.0)])

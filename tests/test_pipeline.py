@@ -14,12 +14,13 @@ from kerntest.harness import run
 from kerntest.harness.cli import main
 from kerntest.kernels import gaussian_kernel
 from kerntest.resampling import ReplicateSpec
-from kerntest.statistics import ModelSampleData, TwoSampleData
+from kerntest.statistics import ModelSampleData, PairedData, TwoSampleData
 from kerntest.testing import (
     AGGREGATE,
     aggregated_test,
     check_options,
     dp_test,
+    independence_test,
     pooled_test,
     robust_test,
     run_test,
@@ -144,3 +145,17 @@ def test_fuse_nu_warning_points_at_the_caller():
             call()
         assert [w.filename for w in record] == [__file__], name
 
+
+def test_permutation_tests_refuse_an_unknown_statistic_kind():
+    two, _ = _data()
+    rng = np.random.default_rng(1)
+    paired = PairedData.from_parts(rng.normal(size=(10, 1)), rng.normal(size=(10, 1)))
+    rep = ReplicateSpec(count=99, seed=0)  # feasible for aggregating two kernels
+    for call in (
+        lambda: two_sample_test(two, None, GAUSS, statistic="w"),
+        lambda: independence_test(paired, GAUSS, GAUSS, statistic="w"),
+        lambda: pooled_test(two, TWO, PoolConfig(method="mean"), rep, statistic="w"),
+        lambda: aggregated_test(two, TWO, rep, statistic="w"),
+    ):
+        with pytest.raises(ValueError, match="statistic kind 'w'"):
+            call()

@@ -24,7 +24,6 @@ from kerntest.resampling import (
     test_decision as decide,
 )
 from kerntest.statistics import (
-    CoreMatrix,
     DesignSet,
     ModelSampleData,
     PairedData,
@@ -39,6 +38,7 @@ from kerntest.statistics import (
 )
 from kerntest.testing import independence_test, two_sample_test
 from oracles import (
+    held_rows,
     hsic_centered_grams,
     hsic_permuted_statistic,
     pair_swap_signs,
@@ -51,8 +51,7 @@ GAUSS = gaussian_kernel(1.0)
 
 def _random_core(rng, n):
     h = rng.uniform(-1, 1, size=(n, n))
-    h = 0.5 * (h + h.T)
-    return CoreMatrix(h=h, kernel_bound=1.0, framework="mmd")
+    return 0.5 * (h + h.T)
 
 
 # --- permutation sampling ----------------------------------------------------
@@ -114,11 +113,10 @@ def test_wild_global_sign_flip_invariant():
 
 def test_wild_three_point_hand_sum():
     h = np.array([[0.0, 1.0, -2.0], [1.0, 0.0, 0.5], [-2.0, 0.5, 0.0]])
-    core = CoreMatrix(h=h, kernel_bound=2.0, framework="mmd")
     signs = np.array([1.0, -1.0, 1.0])
     # pairs (i != j): eps_i eps_j H[i, j]
     expected = (-1.0 - 2.0 - 1.0 - 0.5 - 2.0 - 0.5) / 6.0
-    got = wild_bootstrap_statistic(core, DesignSet.full_offdiag(3), signs)
+    got = wild_bootstrap_statistic(h, DesignSet.full_offdiag(3), signs)
     assert got == pytest.approx(expected, rel=1e-15)
 
 
@@ -207,9 +205,9 @@ def test_swap_equivalence_matches_data_recomputation():
         swap = np.array(bits)
         x2, y2 = x.copy(), y.copy()
         x2[swap], y2[swap] = y[swap], x[swap]
-        rebuilt = core_matrix_mmd(GAUSS, TwoSampleData(x2, y2)).h
+        rebuilt = core_matrix_mmd(GAUSS, TwoSampleData(x2, y2))
         signs = pair_swap_signs(n, np.nonzero(swap)[0])
-        np.testing.assert_allclose(rebuilt, np.outer(signs, signs) * core.h, atol=1e-12)
+        np.testing.assert_allclose(rebuilt, np.outer(signs, signs) * core, atol=1e-12)
 
 
 def test_joint_pair_relabeling_invariance():
@@ -286,6 +284,19 @@ def test_decision_integer_quantile_boundary():
     res = decide(0.5, replicates, 0.05)
     pool = np.sort(np.concatenate([[0.5], replicates]))
     assert res.threshold == pool[56]  # 57th order statistic
+
+
+def test_decision_rules_agree_at_levels_next_to_a_p_value():
+    # alpha just below k / M once rejected at p = k / M, and alpha within
+    # 1e-9 / M of 1 read the pool's maximum as the threshold
+    for size in (20, 100, 200, 500, 1000):
+        cases = [(0.0, np.ones(size - 1), alpha) for alpha in (1 - 1e-12, np.nextafter(1.0, 0.0))]
+        for k in range(1, size):
+            above, level = np.r_[np.ones(k - 1), np.zeros(size - k)], k / size  # p = k / M
+            cases += [(0.5, above, alpha) for alpha in (level, np.nextafter(level, 0.0), level * (1 - 1e-12))]
+        for original, replicates, alpha in cases:
+            res = decide(original, replicates, alpha)
+            assert res.reject == (res.p_value <= alpha) == (res.statistic > res.threshold)
 
 
 def test_min_replicates_values():
@@ -529,7 +540,7 @@ def test_engines_match_per_replicate_generators(count, monkeypatch):
     rng = np.random.default_rng(21)
     two = TwoSampleData(rng.normal(size=(7, 2)), rng.normal(size=(11, 2)))
     paired = PairedData.from_parts(rng.normal(size=(9, 1)), rng.normal(size=(9, 2)))
-    cores = [_random_core(rng, 10), _random_core(rng, 10)]
+    cores = [held_rows(_random_core(rng, 10)), held_rows(_random_core(rng, 10))]
     rep = ReplicateSpec(count=count, seed=2**40 + 3)
     wild = ReplicateSpec(count=count, method="wild_bootstrap", seed=8)
     specs = [gaussian_kernel(0.8), gaussian_kernel(2.0)]
@@ -900,7 +911,7 @@ def _ksd_held_and_streamed(data, specs, rep, design, monkeypatch):
     streamed, unaveraged ones."""
     streamed = collection_replicates(data, specs, rep, design=design)
     with monkeypatch.context() as patch:
-        patch.setattr(engines, "ksd_core_rows", core_matrix_ksd)
+        patch.setattr(engines, "ksd_core_rows", lambda spec, data: held_rows(core_matrix_ksd(spec, data)))
         held = collection_replicates(data, specs, rep, design=design)
     return held, streamed
 
@@ -943,7 +954,7 @@ def test_pair_gather_averages_a_core_with_its_transpose():
     rng = np.random.default_rng(18)
     n = 23
     h = rng.uniform(-1, 1, size=(n, n))
-    sym = CoreMatrix(h=0.5 * (h + h.T), kernel_bound=1.0, framework="ksd")
+    sym = held_rows(0.5 * (h + h.T))
     design = DesignSet(*np.nonzero(~np.eye(n, dtype=bool)))
     shuffled = np.random.default_rng(19).permutation(design.size)[:200]
     rep = ReplicateSpec(count=49, method="wild_bootstrap", seed=6)
@@ -985,8 +996,8 @@ def _wild_cases():
     x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 0.3
     specs = [gaussian_kernel(0.8), imq_kernel(1.2)]
     two, paired = TwoSampleData(x, y), PairedData.from_parts(x, 0.5 * x + y)
-    mmd = [core_matrix_mmd(s, two).h for s in specs]
-    hsic = [core_matrix_hsic_wild(s, s, paired).h for s in specs]
+    mmd = [core_matrix_mmd(s, two) for s in specs]
+    hsic = [core_matrix_hsic_wild(s, s, paired) for s in specs]
     for n, data, entries, hs in ((40, two, specs, mmd), (20, paired, [(s, s) for s in specs], hsic)):
         for design in (None, DesignSet.block(n, 3), DesignSet.incomplete(n, 150)):
             yield data, entries, hs, design

@@ -8,12 +8,12 @@ from kerntest.engines import wild_replicates
 from kerntest.kernels import gaussian_kernel, imq_kernel, laplace_kernel, standard_gaussian_score
 from kerntest.resampling import ReplicateSpec
 from kerntest.statistics import (
-    CoreMatrix,
     DesignSet,
     ModelSampleData,
     PairedData,
     TwoSampleData,
     block_statistic,
+    core_bound,
     core_matrix_hsic,
     core_matrix_hsic_wild,
     core_matrix_ksd,
@@ -23,15 +23,14 @@ from kerntest.statistics import (
     v_statistic,
 )
 from kerntest.kernels import gram_matrix
-from oracles import empirical_model_moments, eval_kernel, one_sample_mmd, two_sample_v_statistic
+from oracles import empirical_model_moments, eval_kernel, held_rows, one_sample_mmd, two_sample_v_statistic
 
 GAUSS = gaussian_kernel(1.0)
 
 
 def _random_core(rng, n, bound=1.0):
     h = rng.uniform(-bound, bound, size=(n, n))
-    h = 0.5 * (h + h.T)
-    return CoreMatrix(h=h, kernel_bound=bound, framework="mmd")
+    return 0.5 * (h + h.T)
 
 
 # --- dataset validation ------------------------------------------------------
@@ -58,9 +57,9 @@ def test_dataset_validation():
 def test_mmd_core_zero_for_identical_pairs():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 2))
-    core = core_matrix_mmd(GAUSS, TwoSampleData(x, x.copy()))
-    assert np.all(core.h == 0.0)
-    assert core.kernel_bound == 4.0
+    data = TwoSampleData(x, x.copy())
+    assert np.all(core_matrix_mmd(GAUSS, data) == 0.0)
+    assert core_bound(GAUSS, data) == 4.0
 
 
 def test_mmd_core_four_term_expansion():
@@ -75,19 +74,19 @@ def test_mmd_core_four_term_expansion():
                 - eval_kernel(GAUSS, x[i], y[j])
                 + eval_kernel(GAUSS, y[i], y[j])
             )
-            assert core.h[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-15)
-    assert np.array_equal(core.h, core.h.T)
+            assert core[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-15)
+    assert np.array_equal(core, core.T)
 
 
 def test_mmd_core_pair_swap_antisymmetry():
     # swapping (X_i, Y_i) negates row and column i
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    base = core_matrix_mmd(GAUSS, TwoSampleData(x, y)).h
+    base = core_matrix_mmd(GAUSS, TwoSampleData(x, y))
     for i in range(5):
         x2, y2 = x.copy(), y.copy()
         x2[i], y2[i] = y[i], x[i]
-        swapped = core_matrix_mmd(GAUSS, TwoSampleData(x2, y2)).h
+        swapped = core_matrix_mmd(GAUSS, TwoSampleData(x2, y2))
         signs = np.ones(5)
         signs[i] = -1.0
         np.testing.assert_allclose(swapped, np.outer(signs, signs) * base, atol=1e-14)
@@ -105,9 +104,9 @@ def test_hsic_core_zero_for_constant_y():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 2))
     y = np.ones((5, 1))
-    core = core_matrix_hsic(GAUSS, GAUSS, PairedData.from_parts(x, y))
-    assert np.all(core.h == 0.0)
-    assert core.kernel_bound == 16.0
+    data = PairedData.from_parts(x, y)
+    assert np.all(core_matrix_hsic(GAUSS, GAUSS, data) == 0.0)
+    assert core_bound((GAUSS, GAUSS), data) == 16.0
 
 
 def test_hsic_core_matches_hand_centering():
@@ -122,7 +121,7 @@ def test_hsic_core_matches_hand_centering():
     core = core_matrix_hsic(GAUSS, GAUSS, data)
     for i in range(3):
         for j in range(3):
-            assert core.h[i, j] == pytest.approx(centered(k, i, j) * centered(l, i, j), rel=1e-12, abs=1e-15)
+            assert core[i, j] == pytest.approx(centered(k, i, j) * centered(l, i, j), rel=1e-12, abs=1e-15)
 
 
 def test_hsic_core_trace_identity():
@@ -134,7 +133,7 @@ def test_hsic_core_trace_identity():
     c = np.eye(n) - np.ones((n, n)) / n
     k = gram_matrix(GAUSS, data.x_part, data.x_part)
     l = gram_matrix(GAUSS, data.y_part, data.y_part)
-    assert core.h.sum() == pytest.approx(np.trace(k @ c @ l @ c), rel=1e-10)
+    assert core.sum() == pytest.approx(np.trace(k @ c @ l @ c), rel=1e-10)
 
 
 def test_hsic_centering_absorbs_constants():
@@ -172,7 +171,7 @@ def test_hsic_wild_core_is_product_of_half_cores():
                 - eval_kernel(GAUSS, y[3 + i], y[j])
                 + eval_kernel(GAUSS, y[3 + i], y[3 + j])
             )
-            assert core.h[i, j] == pytest.approx(hx * hy, rel=1e-12, abs=1e-15)
+            assert core[i, j] == pytest.approx(hx * hy, rel=1e-12, abs=1e-15)
 
 
 # --- KSD core -------------------------------------------------------------------
@@ -199,8 +198,8 @@ def test_ksd_core_hand_expansion_1d():
             dk_dy = (a - b) * k
             d2k = (1.0 - (a - b) ** 2) * k
             expected = k * (-a) * (-b) + dk_dx * (-b) + dk_dy * (-a) + d2k
-            assert core.h[i, j] == pytest.approx(expected, rel=1e-12)
-    assert np.abs(core.h).max() <= core.kernel_bound
+            assert core[i, j] == pytest.approx(expected, rel=1e-12)
+    assert np.abs(core).max() <= core_bound(GAUSS, data)
 
 
 def test_ksd_stein_identity_u_statistic():
@@ -235,13 +234,25 @@ def test_ksd_stein_identity_u_statistic():
 
 
 def test_v_and_u_statistic_small_cases():
-    zero = CoreMatrix(h=np.zeros((3, 3)), kernel_bound=1.0, framework="mmd")
+    zero = np.zeros((3, 3))
     assert v_statistic(zero) == 0.0
     assert u_statistic(zero) == 0.0
     a, b, c = 0.3, -0.2, 1.4
-    core = CoreMatrix(h=np.array([[a, b], [b, c]]), kernel_bound=2.0, framework="mmd")
+    core = np.array([[a, b], [b, c]])
     assert v_statistic(core) == pytest.approx((a + 2 * b + c) / 4.0)
     assert u_statistic(core) == b
+
+
+def test_reference_statistics_refuse_a_non_square_core():
+    for h in (np.zeros((3, 4)), np.zeros(4)):
+        for call in (
+            v_statistic,
+            u_statistic,
+            lambda h: incomplete_statistic(h, DesignSet.full_offdiag(3)),
+            lambda h: block_statistic(h, 1),
+        ):
+            with pytest.raises(ValueError, match="core matrix must be square"):
+                call(h)
 
 
 def test_v_statistic_zero_for_identical_pairs():
@@ -255,7 +266,7 @@ def test_u_v_inequality_random():
     for _ in range(1000):
         n = int(rng.integers(2, 31))
         core = _random_core(rng, n, bound=float(rng.uniform(0.5, 3.0)))
-        bound = np.abs(core.h).max()
+        bound = np.abs(core).max()
         assert u_statistic(core) >= v_statistic(core) - 2.0 * bound / n
 
 
@@ -265,7 +276,7 @@ def test_incomplete_statistic_examples():
     full = DesignSet.full_offdiag(6)
     assert incomplete_statistic(core, full) == u_statistic(core)
     single = DesignSet(np.array([0]), np.array([1]))
-    assert incomplete_statistic(core, single) == core.h[0, 1]
+    assert incomplete_statistic(core, single) == core[0, 1]
     with pytest.raises(ValueError):
         incomplete_statistic(core, DesignSet(np.array([0]), np.array([7])))
     with pytest.raises(ValueError):
@@ -280,13 +291,12 @@ def test_block_statistic_identities():
         n = int(rng.integers(4, 25))
         core = _random_core(rng, n)
         assert block_statistic(core, 1) == u_statistic(core)  # bit-for-bit
-    core = _random_core(rng, 4)
-    h = core.h
+    h = _random_core(rng, 4)
     expected = (h[0, 1] + h[1, 0] + h[2, 3] + h[3, 2]) / 4.0
-    assert block_statistic(core, 2) == pytest.approx(expected, rel=1e-15)
+    assert block_statistic(h, 2) == pytest.approx(expected, rel=1e-15)
     # B = floor(N/2): mean of consecutive off-diagonal pairs
     core = _random_core(rng, 9)
-    pairs = [core.h[2 * b, 2 * b + 1] for b in range(4)]
+    pairs = [core[2 * b, 2 * b + 1] for b in range(4)]
     assert block_statistic(core, 4) == pytest.approx(np.mean(pairs), rel=1e-13)
     with pytest.raises(ValueError):
         block_statistic(core, 5)  # block size 1
@@ -312,7 +322,7 @@ def test_block_design_fits_only_a_core_of_its_n():
     rep = ReplicateSpec(count=19, method="wild_bootstrap", seed=0)
     for call in (
         lambda: incomplete_statistic(core, DesignSet.block(10, 2)),
-        lambda: wild_replicates([core], DesignSet.block(10, 2), rep),
+        lambda: wild_replicates([held_rows(core)], DesignSet.block(10, 2), rep),
     ):
         with pytest.raises(ValueError, match="block design of n=10 does not fit a core of 12 rows"):
             call()
@@ -368,20 +378,22 @@ def test_one_sample_mmd_single_point():
 
 
 def _framework_cores(rng, n):
+    """Each framework's held core with its bound K_h."""
     x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-    yield core_matrix_mmd(GAUSS, TwoSampleData(x, y))
-    yield core_matrix_hsic(GAUSS, GAUSS, PairedData.from_parts(x, y))
-    data = ModelSampleData.from_score_field(x, standard_gaussian_score())
-    yield core_matrix_ksd(imq_kernel(1.0), data)
+    two, paired = TwoSampleData(x, y), PairedData.from_parts(x, y)
+    yield core_matrix_mmd(GAUSS, two), core_bound(GAUSS, two)
+    yield core_matrix_hsic(GAUSS, GAUSS, paired), core_bound((GAUSS, GAUSS), paired)
+    data, spec = ModelSampleData.from_score_field(x, standard_gaussian_score()), imq_kernel(1.0)
+    yield core_matrix_ksd(spec, data), core_bound(spec, data)
 
 
 def test_u_v_inequality_per_framework():
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = int(rng.integers(3, 15))
-        for core in _framework_cores(rng, n):
-            assert np.abs(core.h).max() <= core.kernel_bound * (1 + 1e-12)
-            assert u_statistic(core) >= v_statistic(core) - 2.0 * core.kernel_bound / n
+        for core, bound in _framework_cores(rng, n):
+            assert np.abs(core).max() <= bound * (1 + 1e-12)
+            assert u_statistic(core) >= v_statistic(core) - 2.0 * bound / n
             assert v_statistic(core) >= -1e-12  # nonnegative for all three cores
 
 
@@ -389,10 +401,10 @@ def test_core_psd_mmd_ksd():
     rng = np.random.default_rng(18)
     for n in (5, 12, 20):
         x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-        mmd = core_matrix_mmd(GAUSS, TwoSampleData(x, y))
-        assert np.linalg.eigvalsh(mmd.h).min() >= -1e-8 * mmd.kernel_bound
-        ksd = core_matrix_ksd(GAUSS, ModelSampleData.from_score_field(x, standard_gaussian_score()))
-        assert np.linalg.eigvalsh(ksd.h).min() >= -1e-8 * ksd.kernel_bound
+        two = TwoSampleData(x, y)
+        assert np.linalg.eigvalsh(core_matrix_mmd(GAUSS, two)).min() >= -1e-8 * core_bound(GAUSS, two)
+        model = ModelSampleData.from_score_field(x, standard_gaussian_score())
+        assert np.linalg.eigvalsh(core_matrix_ksd(GAUSS, model)).min() >= -1e-8 * core_bound(GAUSS, model)
 
 
 @pytest.mark.parametrize("spec", [gaussian_kernel(1.3), imq_kernel(0.8), laplace_kernel(2.0, normalized=True)])
@@ -408,9 +420,9 @@ def test_wild_cores_are_blocks_of_the_cached_grams(spec):
         return g[:half, :half] - (kab + kab.T) + g[half:, half:]
 
     mmd = core_matrix_mmd(spec, TwoSampleData(x, y))
-    assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 8))
+    assert np.array_equal(mmd, pair_core(np.vstack([x, y]), 8))
     hsic = core_matrix_hsic_wild(spec, spec, PairedData.from_parts(x, y))
-    assert np.array_equal(hsic.h, pair_core(x, 4) * pair_core(y, 4))
+    assert np.array_equal(hsic, pair_core(x, 4) * pair_core(y, 4))
 
 
 @pytest.mark.parametrize("spec", [gaussian_kernel(1.3), laplace_kernel(2.0, normalized=True)])
@@ -428,11 +440,11 @@ def test_wild_cores_written_in_row_blocks_equal_the_whole_gram_formula(spec):
         return g[:half, :half] - (kab + kab.T) + g[half:, half:]
 
     mmd = core_matrix_mmd(spec, TwoSampleData(x, y))
-    assert np.array_equal(mmd.h, pair_core(np.vstack([x, y]), 600))
-    assert np.array_equal(mmd.h, mmd.h.T)
+    assert np.array_equal(mmd, pair_core(np.vstack([x, y]), 600))
+    assert np.array_equal(mmd, mmd.T)
     hsic = core_matrix_hsic_wild(spec, spec, PairedData.from_parts(x, y))
-    assert np.array_equal(hsic.h, pair_core(x, 300) * pair_core(y, 300))
-    assert np.array_equal(hsic.h, hsic.h.T)
+    assert np.array_equal(hsic, pair_core(x, 300) * pair_core(y, 300))
+    assert np.array_equal(hsic, hsic.T)
 
 
 def test_mmd_wild_core_holds_its_output_and_a_few_row_blocks(traced_peak):
@@ -468,9 +480,9 @@ def test_wild_cores_stack_their_row_sources(height, monkeypatch):
             assert rows.n == half and (rows.height == height if height else rows.height >= half)
             blocks = [rows.block(slice(a, min(a + rows.height, half)), slice(0, half))
                       for a in range(0, half, rows.height)]
-            assert np.array_equal(held.h, np.vstack(blocks))
+            assert np.array_equal(held, np.vstack(blocks))
             # any block is the matrix's own
-            assert np.array_equal(rows.block(slice(3, 11), slice(5, 17)), held.h[3:11, 5:17])
+            assert np.array_equal(rows.block(slice(3, 11), slice(5, 17)), held[3:11, 5:17])
 
 
 def test_double_centring_in_place_matches_the_whole_matrix_formula():

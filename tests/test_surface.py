@@ -9,9 +9,9 @@ from test_bench_hooks import _load
 SRC = Path(kerntest.__file__).resolve().parent
 
 PUBLIC = [
-    "AggregatedTestResult", "ConfigError", "CoreMatrix", "DataError", "DesignSet", "KernelCollection",
-    "KernelSpec", "KerntestError", "ModelSampleData", "PairedData", "PoolConfig", "PrivacyParams",
-    "ReplicateSpec", "RobustParams", "ScoreField", "Sensitivity", "TestResult", "TwoSampleData",
+    "AggregatedTestResult", "ConfigError", "DataError", "DesignSet", "KernelCollection", "KernelSpec",
+    "KerntestError", "ModelSampleData", "PairedData", "PoolConfig", "PrivacyParams", "ReplicateSpec",
+    "RobustParams", "ScoreField", "Sensitivity", "TestResult", "TwoSampleData",
     "aggregated_test", "bandwidth_grid", "block_statistic", "core_matrix_hsic", "core_matrix_hsic_wild",
     "core_matrix_ksd", "core_matrix_mmd", "dp_test", "gaussian_kernel", "global_sensitivity",
     "goodness_of_fit_test", "gram_matrix", "harmonic_weights", "imq_kernel", "incomplete_statistic",
@@ -22,7 +22,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 47
     assert sorted(kerntest.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(kerntest, name) is not None
@@ -78,3 +78,32 @@ def test_every_import_is_used():
         for name in _unused_imports(path)
     }
     assert unused - pinned == set()
+
+
+def _definitions(tree: ast.Module) -> set[str]:
+    """A module's top-level functions, classes and assigned names, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("__")}
+
+
+def test_every_definition_is_used():
+    # a top-level definition is read by some module of the package (by name or
+    # as an attribute), exported by an __all__, or wrapped by name by the
+    # benchmark's traced pass (rademacher, say, where engines imports it)
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    read = {attr for _, attr, *_ in _load("spans").TARGETS}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+    unused = {(_module_name(path), name) for path, tree in trees.items() for name in _definitions(tree) - read}
+    assert unused == set()
